@@ -11,14 +11,6 @@ import json
 import sys
 
 from .errors import ConfigError, ParseError
-from .estimators import (
-    Alg1Params,
-    alg1_estimate,
-    alg2_estimate,
-    alg4_estimate_e_alpha,
-    dynamic_estimate,
-    estimate_matching_logspace,
-)
 from .graphs import (
     characterize,
     degeneracy,
@@ -26,16 +18,15 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .harness import check_lemmas, parse_config, run_experiment, summarize_ratios
-from .streams import (
-    OrderingPolicy,
-    generate_random_tree,
-    generate_star_forest,
-    generate_union_of_forests,
-    order_stream,
-    parse_stream,
-    serialize_stream,
+from .harness import (
+    ESTIMATORS,
+    GENERATORS,
+    check_lemmas,
+    parse_config,
+    run_experiment,
+    summarize_ratios,
 )
+from .streams import OrderingPolicy, order_stream, parse_stream, serialize_stream
 
 
 def _read(path: str) -> str:
@@ -49,13 +40,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "union-of-forests":
-        g = generate_union_of_forests(args.n, args.c, args.seed)
-    elif args.kind == "star-forest":
-        g = generate_star_forest(args.k, args.s)
-    else:
-        g = generate_random_tree(args.n, args.seed)
-    _write(args.output, serialize_graph(g))
+    _write(args.output, serialize_graph(GENERATORS[args.kind](args, args.seed)))
     return 0
 
 
@@ -91,28 +76,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    stream = parse_stream(_read(args.stream))
-    if args.algorithm == "alg1":
-        if args.mu is None or args.p is None:
-            raise ConfigError("alg1 needs --mu and --p")
-        params = Alg1Params(mu=args.mu, p=args.p, c=args.c, epsilon=args.epsilon)
-        est = alg1_estimate(stream, params, args.seed)
-    elif args.algorithm == "alg2":
-        if args.mu is None:
-            raise ConfigError("alg2 needs --mu")
-        est = alg2_estimate(stream, c=args.c, mu=args.mu, epsilon=args.epsilon, seed=args.seed)
-    elif args.algorithm == "alg4":
-        if args.alpha is None:
-            raise ConfigError("alg4 needs --alpha")
-        est = alg4_estimate_e_alpha(
-            stream, alpha=args.alpha, c=args.c, epsilon=args.epsilon, seed=args.seed
-        )
-    elif args.algorithm == "logspace":
-        est = estimate_matching_logspace(stream, c=args.c, epsilon=args.epsilon, seed=args.seed)
-    else:
-        if args.mu is None:
-            raise ConfigError("dynamic needs --mu")
-        est = dynamic_estimate(stream, c=args.c, mu=args.mu, epsilon=args.epsilon, seed=args.seed)
+    check, run = ESTIMATORS[args.algorithm]
+    check(args)
+    est = run(args, parse_stream(_read(args.stream)), args.seed)
     value = "" if est.value is None else est.value
     print(
         f"algorithm={args.algorithm} value={value} space_peak={est.space_peak} "
@@ -151,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a generated graph to a file")
-    p.add_argument("--kind", choices=("union-of-forests", "star-forest", "random-tree"),
-                   required=True)
+    p.add_argument("--kind", choices=tuple(GENERATORS), required=True)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--c", type=int, default=1)
     p.add_argument("--k", type=int, default=10)
@@ -180,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run one estimator over a stream file")
     p.add_argument("stream")
-    p.add_argument("--algorithm", choices=("alg1", "alg2", "alg4", "logspace", "dynamic"),
-                   required=True)
+    p.add_argument("--algorithm", choices=tuple(ESTIMATORS), required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--mu", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)

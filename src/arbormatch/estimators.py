@@ -13,8 +13,10 @@ Four building blocks, combined two ways:
   geometric level sampling to estimate the number of surviving edges, and
   ``estimate_matching_logspace`` turns that count into a matching estimate.
 * ``dynamic_estimate`` is the insert/delete variant of alg2: counters are
-  decremented on deletes and the greedy side runs on a capacity-bounded
-  uniform edge sample that is rebuilt after deletions touching it.
+  decremented on deletes and the greedy side runs on an edge sample that
+  keeps each insert with probability capacity/(live edges) and never evicts,
+  so it can outgrow its capacity; the matching is rebuilt after deletions
+  touching the sample.
 
 Space is instrumented at event granularity in abstract items: one stored
 edge = 1 item, one counter = 1 item, one live survival test = 3 items.
@@ -62,6 +64,19 @@ class Estimate:
 # ---------------------------------------------------------------------------
 
 
+def _check_c_epsilon(c: int, epsilon: float) -> None:
+    if c < 1:
+        raise ConfigError(f"c must be >= 1, got {c}")
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def check_degree_threshold(mu: int, c: int) -> None:
+    """mu must exceed 2c so the factor 2*mu/(mu-2c+1) stays positive."""
+    if mu is None or mu <= 2 * c:
+        raise ConfigError(f"the degree threshold needs mu > 2c = {2 * c}, got {mu}")
+
+
 @dataclass(frozen=True)
 class Alg1Params:
     """Parameters of the degree-sampling estimator.
@@ -77,14 +92,10 @@ class Alg1Params:
     epsilon: float
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ConfigError(f"c must be >= 1, got {self.c}")
-        if self.mu <= 2 * self.c:
-            raise ConfigError(f"mu must exceed 2c = {2 * self.c}, got {self.mu}")
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"p must be in (0, 1], got {self.p}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        _check_c_epsilon(self.c, self.epsilon)
+        check_degree_threshold(self.mu, self.c)
+        if self.p is None or not 0.0 < self.p <= 1.0:
+            raise ConfigError(f"the degree sampler needs p in (0, 1], got {self.p}")
 
     @property
     def beta(self) -> float:
@@ -377,6 +388,13 @@ def alg4_selection_threshold(n: int, epsilon: float) -> float:
     return 8.0 * math.log(max(n, 2)) / (epsilon * epsilon)
 
 
+def check_survivor_params(alpha: float, c: int, epsilon: float) -> None:
+    """Reject parameters the survivor counter cannot run with; raises ConfigError."""
+    _check_c_epsilon(c, epsilon)
+    if alpha is None or alpha < 1:
+        raise ConfigError(f"alpha must be >= 1, got {alpha}")
+
+
 def alg4_estimate_e_alpha(
     stream: "EdgeStream",
     alpha: float,
@@ -399,12 +417,7 @@ def alg4_estimate_e_alpha(
     ``tau_override`` (e.g. math.inf) and ``collect_trace`` are test hooks: the
     trace records per-level started/surviving positions and size high-marks.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must be in (0, 1), got {epsilon}")
-    if alpha < 1:
-        raise ConfigError(f"alpha must be >= 1, got {alpha}")
-    if c < 1:
-        raise ConfigError(f"c must be >= 1, got {c}")
+    check_survivor_params(alpha, c, epsilon)
     edges = stream.insert_edges()
     n = stream.n
     num_levels = alg4_num_levels(n, c, epsilon)
@@ -597,12 +610,14 @@ def estimate_matching_logspace(
 
 
 class _SampledMatching:
-    """Capacity-bounded uniform edge sample with a greedy matching on top.
+    """Edge sample with a greedy matching on top.
 
     Stand-in for a full dynamic maximal-matching structure: each arriving live
     edge is retained with probability min(1, capacity/m_hat) where m_hat is
     the running live-edge count, and the greedy matching is recomputed over
     the sample (in retention order) after every deletion that touches it.
+    Nothing is evicted, so ``capacity`` only sets the retention rate: after m
+    inserts the sample holds about capacity * (1 + ln(m / capacity)) edges.
     """
 
     def __init__(self, capacity: int, seed: int):

@@ -107,6 +107,19 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_header(line_no: int, parts: list[str]) -> int:
+    """Vertex count of the ``n <count>`` line that opens graph and stream files."""
+    if len(parts) != 2 or parts[0] != "n":
+        raise ParseError(line_no, "expected 'n <count>' header")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(line_no, "vertex count is not an integer") from None
+    if n < 0:
+        raise ParseError(line_no, "vertex count must be non-negative")
+    return n
+
+
 def parse_graph(text: str, c_declared: int | None = None) -> Graph:
     """Inverse of serialize_graph; raises ParseError with the offending line."""
     n: int | None = None
@@ -117,12 +130,7 @@ def parse_graph(text: str, c_declared: int | None = None) -> Graph:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ParseError(line_no, "expected 'n <count>' header")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, "vertex count is not an integer") from None
+            n = _parse_header(line_no, parts)
             continue
         if len(parts) != 2:
             raise ParseError(line_no, "expected 'u v'")

@@ -12,7 +12,7 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Any, Callable, TextIO
 
 from .errors import ConfigError
 from .estimators import (
@@ -21,6 +21,8 @@ from .estimators import (
     alg1_estimate,
     alg2_estimate,
     alg4_estimate_e_alpha,
+    check_degree_threshold,
+    check_survivor_params,
     dynamic_estimate,
     estimate_matching_logspace,
 )
@@ -40,8 +42,61 @@ from .streams import (
     order_stream,
 )
 
-GENERATOR_KINDS = ("union-of-forests", "star-forest", "random-tree")
-ESTIMATOR_KINDS = ("alg1", "alg2", "alg4", "logspace", "dynamic")
+# Generator and estimator tables shared by ``arbormatch experiment`` and the
+# CLI's generate/estimate subcommands. Entries read parameters by attribute,
+# so an ExperimentConfig and parsed CLI arguments both work, and call library
+# functions through this module's globals at call time, so rebinding one here
+# (as a test or profiler does) reaches every front end.
+
+# name -> (params, seed) -> Graph
+GENERATORS: dict[str, Callable[[Any, int], Graph]] = {
+    "union-of-forests": lambda a, seed: generate_union_of_forests(a.n, a.c, seed),
+    "star-forest": lambda a, seed: generate_star_forest(a.k, a.s),
+    "random-tree": lambda a, seed: generate_random_tree(a.n, seed),
+}
+
+
+def _alg1_params(a: Any) -> Alg1Params:
+    return Alg1Params(mu=a.mu, p=a.p, c=a.c, epsilon=a.epsilon)
+
+
+def _check_greedy_composite(a: Any) -> None:
+    """alg2 and dynamic derive p themselves; mu, c and epsilon follow alg1's rules."""
+    Alg1Params(mu=a.mu, p=1.0, c=a.c, epsilon=a.epsilon)
+
+
+# name -> (check(params), run(params, stream, seed)); check raises ConfigError
+# and runs before any stream is read or built.
+ESTIMATORS: dict[str, tuple[Callable, Callable]] = {
+    "alg1": (
+        _alg1_params,
+        lambda a, stream, seed: alg1_estimate(stream, _alg1_params(a), seed),
+    ),
+    "alg2": (
+        _check_greedy_composite,
+        lambda a, stream, seed: alg2_estimate(
+            stream, c=a.c, mu=a.mu, epsilon=a.epsilon, seed=seed
+        ),
+    ),
+    "alg4": (
+        lambda a: check_survivor_params(a.alpha, a.c, a.epsilon),
+        lambda a, stream, seed: alg4_estimate_e_alpha(
+            stream, alpha=a.alpha, c=a.c, epsilon=a.epsilon, seed=seed
+        ),
+    ),
+    "logspace": (
+        lambda a: check_survivor_params(6 * a.c, a.c, a.epsilon),
+        lambda a, stream, seed: estimate_matching_logspace(
+            stream, c=a.c, epsilon=a.epsilon, seed=seed
+        ),
+    ),
+    "dynamic": (
+        _check_greedy_composite,
+        lambda a, stream, seed: dynamic_estimate(
+            stream, c=a.c, mu=a.mu, epsilon=a.epsilon, seed=seed
+        ),
+    ),
+}
 
 CSV_HEADER = ["seed", "value", "m_star", "ratio", "space_peak", "fail", "ms"]
 
@@ -113,9 +168,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def validate_config(config: ExperimentConfig) -> None:
     """Reject invalid parameter combinations before any trial runs."""
-    if config.generator not in GENERATOR_KINDS:
+    if config.generator not in GENERATORS:
         raise ConfigError(f"unknown generator {config.generator!r}")
-    if config.estimator not in ESTIMATOR_KINDS:
+    if config.estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {config.estimator!r}")
     try:
         config.ordering = OrderingPolicy(config.ordering)
@@ -123,56 +178,26 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"unknown ordering {config.ordering!r}") from None
     if config.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {config.trials}")
-    if not 0.0 < config.epsilon < 1.0:
-        raise ConfigError(f"epsilon must be in (0, 1), got {config.epsilon}")
     if config.generator == "star-forest":
         if config.k < 1 or config.s < 1:
             raise ConfigError("star-forest needs k >= 1 and s >= 1")
     elif config.n < 2:
         raise ConfigError(f"n must be >= 2, got {config.n}")
-    if config.generator == "union-of-forests" and config.c < 1:
-        raise ConfigError(f"c must be >= 1, got {config.c}")
     if not 0.0 <= config.delete_fraction <= 1.0:
         raise ConfigError(f"delete-fraction must be in [0, 1], got {config.delete_fraction}")
-    needs_mu = config.estimator in ("alg1", "alg2", "dynamic")
-    if needs_mu:
-        if config.mu is None:
-            raise ConfigError(f"estimator {config.estimator!r} needs mu")
-        if config.mu <= 2 * config.c:
-            raise ConfigError(f"mu must exceed 2c = {2 * config.c}, got {config.mu}")
-    if config.estimator == "alg1":
-        if config.p is None or not 0.0 < config.p <= 1.0:
-            raise ConfigError("alg1 needs a sampling probability p in (0, 1]")
-    if config.estimator == "alg4":
-        if config.alpha is None or config.alpha < 1:
-            raise ConfigError("alg4 needs alpha >= 1")
     if config.delete_fraction > 0 and config.estimator != "dynamic":
         raise ConfigError("delete-fraction only applies to the dynamic estimator")
-
-
-def _build_graph(config: ExperimentConfig, seed: int) -> Graph:
-    if config.generator == "union-of-forests":
-        return generate_union_of_forests(config.n, config.c, seed)
-    if config.generator == "star-forest":
-        return generate_star_forest(config.k, config.s)
-    return generate_random_tree(config.n, seed)
+    check, _ = ESTIMATORS[config.estimator]
+    check(config)
 
 
 def _run_estimator(config: ExperimentConfig, g: Graph, seed: int) -> Estimate:
     if config.estimator == "dynamic":
         stream = generate_dynamic_stream(g, config.delete_fraction, seed)
-        return dynamic_estimate(stream, c=config.c, mu=config.mu, epsilon=config.epsilon, seed=seed)
-    stream = order_stream(g, config.ordering, seed)
-    if config.estimator == "alg1":
-        params = Alg1Params(mu=config.mu, p=config.p, c=config.c, epsilon=config.epsilon)
-        return alg1_estimate(stream, params, seed)
-    if config.estimator == "alg2":
-        return alg2_estimate(stream, c=config.c, mu=config.mu, epsilon=config.epsilon, seed=seed)
-    if config.estimator == "alg4":
-        return alg4_estimate_e_alpha(
-            stream, alpha=config.alpha, c=config.c, epsilon=config.epsilon, seed=seed
-        )
-    return estimate_matching_logspace(stream, c=config.c, epsilon=config.epsilon, seed=seed)
+    else:
+        stream = order_stream(g, config.ordering, seed)
+    _, run = ESTIMATORS[config.estimator]
+    return run(config, stream, seed)
 
 
 @dataclass
@@ -228,7 +253,7 @@ def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> lis
     fixed_graph: Graph | None = None
     fixed_m_star: int | None = None
     if config.graph_seed is not None:
-        fixed_graph = _build_graph(config, config.graph_seed)
+        fixed_graph = GENERATORS[config.generator](config, config.graph_seed)
         fixed_m_star = maximum_matching_size(fixed_graph)
 
     out: TextIO | None = None
@@ -243,7 +268,7 @@ def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> lis
             if fixed_graph is not None:
                 g, m_star = fixed_graph, fixed_m_star
             else:
-                g = _build_graph(config, seed)
+                g = GENERATORS[config.generator](config, seed)
                 m_star = maximum_matching_size(g)
             start = time.perf_counter()
             est = _run_estimator(config, g, seed)
@@ -439,8 +464,7 @@ def check_lemmas(g: Graph, orderings: int, mu: int, seed: int) -> LemmaReport:
     if g.c_declared is None:
         raise ConfigError("check_lemmas needs a graph with a declared arboricity bound")
     c = g.c_declared
-    if mu <= 2 * c:
-        raise ConfigError(f"mu must exceed 2c = {2 * c}, got {mu}")
+    check_degree_threshold(mu, c)
     if orderings < 1:
         raise ConfigError(f"orderings must be >= 1, got {orderings}")
     report = characterize(g, mu)

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     StreamInvariantError,
 )
-from .graphs import Edge, Graph, build_graph, degeneracy
+from .graphs import Edge, Graph, _parse_header, build_graph, degeneracy
 
 INSERT = "+"
 DELETE = "-"
@@ -84,21 +84,28 @@ class EdgeStream:
         """Check endpoint ranges and liveness rules; raises StreamInvariantError."""
         live: set[Edge] = set()
         for idx, ev in enumerate(self.events, 1):
-            if not (0 <= ev.u < ev.v < self.n):
-                raise StreamInvariantError(
-                    f"event {idx}: endpoints ({ev.u}, {ev.v}) invalid for n={self.n}"
-                )
-            e = (ev.u, ev.v)
-            if ev.kind == INSERT:
-                if e in live:
-                    raise StreamInvariantError(f"event {idx}: insert of live edge {e}")
-                live.add(e)
-            elif ev.kind == DELETE:
-                if e not in live:
-                    raise StreamInvariantError(f"event {idx}: delete of non-live edge {e}")
-                live.remove(e)
-            else:
-                raise StreamInvariantError(f"event {idx}: unknown kind {ev.kind!r}")
+            problem = _replay_event(live, ev, self.n)
+            if problem is not None:
+                raise StreamInvariantError(f"event {idx}: {problem}")
+
+
+def _replay_event(live: set[Edge], ev: StreamEvent, n: int) -> str | None:
+    """Apply one event to the live edge set, or say why the stream forbids it."""
+    kind, u, v = ev
+    if not 0 <= u < v < n:
+        return f"endpoints ({u}, {v}) must satisfy 0 <= u < v < n={n}"
+    e = (u, v)
+    if kind == INSERT:
+        if e in live:
+            return f"insert of live edge {e}"
+        live.add(e)
+    elif kind == DELETE:
+        if e not in live:
+            return f"delete of non-live edge {e}"
+        live.remove(e)
+    else:
+        return f"unknown kind {kind!r}"
+    return None
 
 
 class OrderingPolicy(str, Enum):
@@ -381,33 +388,18 @@ def parse_stream(text: str) -> EdgeStream:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ParseError(line_no, "expected 'n <count>' header")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, "vertex count is not an integer") from None
-            if n < 0:
-                raise ParseError(line_no, "vertex count must be non-negative")
+            n = _parse_header(line_no, parts)
             continue
         if len(parts) != 3 or parts[0] not in (INSERT, DELETE):
             raise ParseError(line_no, "expected '+ u v' or '- u v'")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            ev = StreamEvent(parts[0], int(parts[1]), int(parts[2]))
         except ValueError:
             raise ParseError(line_no, "endpoints are not integers") from None
-        if not 0 <= u < v < n:
-            raise ParseError(line_no, f"endpoints ({u}, {v}) must satisfy 0 <= u < v < n")
-        e = (u, v)
-        if parts[0] == INSERT:
-            if e in live:
-                raise ParseError(line_no, f"insert of already-live edge {e}")
-            live.add(e)
-        else:
-            if e not in live:
-                raise ParseError(line_no, f"delete of edge {e} that is not live")
-            live.remove(e)
-        events.append(StreamEvent(parts[0], u, v))
+        problem = _replay_event(live, ev, n)
+        if problem is not None:
+            raise ParseError(line_no, problem)
+        events.append(ev)
     if n is None:
         raise ParseError(1, "missing 'n <count>' header")
     return EdgeStream(n=n, events=tuple(events), c_declared=c)

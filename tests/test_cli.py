@@ -50,15 +50,23 @@ def test_estimate_prints_one_line(tmp_path, capsys):
 
 
 def test_estimate_failure_sets_exit_code(tmp_path, capsys, monkeypatch):
-    import arbormatch.cli as cli
+    import arbormatch.harness as harness
 
     spath = tmp_path / "s.txt"
     spath.write_text("n 2\n+ 0 1\n")
     failed = Estimate(value=None, space_peak=0, seed=0, params={}, failed=True)
-    monkeypatch.setattr(cli, "estimate_matching_logspace", lambda *a, **k: failed)
+    monkeypatch.setattr(harness, "estimate_matching_logspace", lambda *a, **k: failed)
     code = main(["estimate", str(spath), "--algorithm", "logspace", "--c", "1"])
     assert code == 1
     assert "fail=1" in capsys.readouterr().out
+
+
+def test_estimate_rejects_c_below_one_naming_c(tmp_path, capsys):
+    spath = tmp_path / "s.txt"
+    spath.write_text("n 2\n+ 0 1\n")
+    assert main(["estimate", str(spath), "--algorithm", "logspace", "--c", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "c must be >= 1" in err and "alpha" not in err
 
 
 def test_experiment_writes_csv(tmp_path, capsys):

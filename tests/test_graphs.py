@@ -76,6 +76,8 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("m 4\n0 1\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_graph("n 4\n0 1 2\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_graph("n -1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,24 @@ def test_validate_rejects_incomplete_estimators():
         )
 
 
+@pytest.mark.parametrize("generator", ["random-tree", "star-forest"])
+@pytest.mark.parametrize("estimator", ["logspace", "alg2", "alg4"])
+def test_parse_config_rejects_c_below_one(generator, estimator):
+    text = f"generator = {generator}\nc = 0\nestimator = {estimator}\nmu = 3\n"
+    if estimator == "alg4":
+        text += "alpha = 2\n"
+    with pytest.raises(ConfigError, match="c must be >= 1"):
+        parse_config(text)
+
+
+def test_run_experiment_checks_parameters_before_writing_csv(tmp_path):
+    out = tmp_path / "out.csv"
+    config = ExperimentConfig(generator="random-tree", n=20, c=0, estimator="logspace")
+    with pytest.raises(ConfigError, match="c must be >= 1"):
+        run_experiment(config, csv_path=str(out))
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # experiments and CSV
 # ---------------------------------------------------------------------------
