@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, ParseError
+from .errors import BudgetExceeded, ConfigError, ParseError
 from .graphs import (
     characterize,
     degeneracy,
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, ValueError) as exc:
+    except (BudgetExceeded, ConfigError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

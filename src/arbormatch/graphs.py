@@ -152,8 +152,12 @@ def maximum_matching_size(g: Graph) -> int:
     """Exact maximum matching size via augmenting paths with blossom contraction.
 
     Deterministic. A greedy matching seeds the search so most vertices never
-    trigger an augmentation round. Desk-scale only (the per-root search is
-    linear in the graph size); large forests should use forest_matching_size.
+    trigger an augmentation round. Each root's search resets only the vertices
+    it touched, and each contraction relabels only the vertices inside the new
+    blossom, found from the bases on its cycle; so a search costs time in the
+    part of the graph it explores, not in n. Desk-scale only (a search that
+    finds no augmenting path still explores its whole component); large
+    forests should use forest_matching_size.
     """
     n = g.n
     if n == 0 or not g.edges:
@@ -171,15 +175,17 @@ def maximum_matching_size(g: Graph) -> int:
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
-    blossom = [False] * n
-    fresh_parent = [-1] * n
-    fresh_base = list(range(n))
-    fresh_used = [False] * n
+    # Vertices whose parent/base/used the current search has set: the root,
+    # each vertex it reaches through an unmatched edge, and that vertex's mate.
+    touched: list[int] = []
+    # Blossom base -> the other vertices contracted into it, this search.
+    members: dict[int, list[int]] = {}
+    cycle_bases: list[int] = []  # of the blossom being contracted
 
     def mark_path(v: int, b: int, child: int) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            cycle_bases.append(base[v])
+            cycle_bases.append(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -199,9 +205,13 @@ def maximum_matching_size(g: Graph) -> int:
         return base[v]
 
     def find_augmenting_path(root: int) -> bool:
-        parent[:] = fresh_parent
-        base[:] = fresh_base
-        used[:] = fresh_used
+        for i in touched:
+            parent[i] = -1
+            base[i] = i
+            used[i] = False
+        touched.clear()
+        members.clear()
+        touched.append(root)
         used[root] = True
         queue = deque([root])
         while queue:
@@ -212,17 +222,22 @@ def maximum_matching_size(g: Graph) -> int:
                 if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
                     # odd cycle: contract the blossom around its base
                     cur = lowest_common_base(v, to)
-                    for i in range(n):
-                        blossom[i] = False
+                    cycle_bases.clear()
                     mark_path(v, cur, to)
                     mark_path(to, cur, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    inside = [i for b in set(cycle_bases) for i in (b, *members.pop(b, ()))]
+                    members.setdefault(cur, []).extend(inside)
+                    entering = []
+                    for i in inside:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            entering.append(i)
+                    # in vertex order, as a scan over every vertex would enqueue them
+                    entering.sort()
+                    queue.extend(entering)
                 elif parent[to] < 0:
+                    touched.append(to)
                     parent[to] = v
                     if match[to] < 0:
                         # flip matched/unmatched edges back to the root
@@ -234,6 +249,7 @@ def maximum_matching_size(g: Graph) -> int:
                             match[pv] = w
                             w = nxt
                         return True
+                    touched.append(match[to])
                     used[match[to]] = True
                     queue.append(match[to])
         return False

@@ -272,10 +272,6 @@ def generate_random_tree(n: int, seed: int) -> Graph:
     return build_graph(n, pruefer_to_edges(seq), c_declared=1)
 
 
-def _edges_degeneracy(n: int, edges) -> int:
-    return degeneracy(Graph(n=n, edges=tuple(edges)))
-
-
 def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> EdgeStream:
     """Insert/delete stream whose final live graph is exactly g.
 
@@ -285,12 +281,20 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     Decoys are rejection-sampled so every prefix keeps degeneracy within twice
     the arboricity bound; a real insert flushes live decoys first if they
     would push the prefix over that cap.
+
+    The cap is checked locally. Every prefix stays within it (decoys enter
+    only when they fit, and a real edge that does not fit once every decoy is
+    gone leaves a subgraph of g, which is checked up front). So adding e
+    breaks the cap exactly when the live graph plus e has a nonempty
+    (cap+1)-core, and that core is connected and holds both endpoints of e:
+    the check peels only the region of degree > cap reachable from one end.
     """
     if not 0.0 <= delete_fraction <= 1.0:
         raise GraphError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
-    eff_c = g.c_declared if g.c_declared is not None else max(1, degeneracy(g))
+    d = degeneracy(g)
+    eff_c = g.c_declared if g.c_declared is not None else max(1, d)
     cap = 2 * eff_c
-    if degeneracy(g) > cap:
+    if d > cap:
         raise GraphError("graph degeneracy already exceeds twice the arboricity bound")
     m = g.m
     budget = 4 * eff_c * g.n
@@ -304,13 +308,48 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     rng.shuffle(real)
     real_idx = 0
     pending = target_decoys
-    live: set[Edge] = set()
+    adj: list[set[int]] = [set() for _ in range(g.n)]  # of the live graph
     live_decoys: deque[Edge] = deque()
     forbidden = set(g.edges)
     events: list[StreamEvent] = []
 
+    def insert(e: Edge) -> None:
+        adj[e[0]].add(e[1])
+        adj[e[1]].add(e[0])
+        events.append(StreamEvent(INSERT, *e))
+
+    def delete_oldest_decoy() -> None:
+        u, v = live_decoys.popleft()
+        adj[u].remove(v)
+        adj[v].remove(u)
+        events.append(StreamEvent(DELETE, u, v))
+
     def fits(e: Edge) -> bool:
-        return _edges_degeneracy(g.n, list(live) + [e]) <= cap
+        u, v = e
+        if len(adj[u]) < cap or len(adj[v]) < cap:
+            return True  # an endpoint would have degree <= cap: not in the core
+        adj[u].add(v)
+        adj[v].add(u)
+        region = {u}
+        stack = [u]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in region and len(adj[y]) > cap:
+                    region.add(y)
+                    stack.append(y)
+        deg = {x: len(adj[x] & region) for x in region}
+        doomed = [x for x in region if deg[x] <= cap]
+        peeled = 0
+        while doomed:
+            peeled += 1
+            for y in adj[doomed.pop()]:
+                if y in deg:
+                    deg[y] -= 1
+                    if deg[y] == cap:  # each vertex crosses to cap at most once
+                        doomed.append(y)
+        adj[u].remove(v)
+        adj[v].remove(u)
+        return peeled == len(region)
 
     while real_idx < len(real) or pending > 0 or live_decoys:
         actions = []
@@ -325,11 +364,8 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
             e = real[real_idx]
             real_idx += 1
             while live_decoys and not fits(e):
-                d = live_decoys.popleft()
-                live.remove(d)
-                events.append(StreamEvent(DELETE, *d))
-            live.add(e)
-            events.append(StreamEvent(INSERT, *e))
+                delete_oldest_decoy()
+            insert(e)
         elif act == "decoy-in":
             pending -= 1
             for _ in range(50):
@@ -338,16 +374,13 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
                 if v >= u:
                     v += 1
                 e = (u, v) if u < v else (v, u)
-                if e in live or e in forbidden or not fits(e):
+                if v in adj[u] or e in forbidden or not fits(e):
                     continue
-                live.add(e)
+                insert(e)
                 live_decoys.append(e)
-                events.append(StreamEvent(INSERT, *e))
                 break
         else:
-            d = live_decoys.popleft()
-            live.remove(d)
-            events.append(StreamEvent(DELETE, *d))
+            delete_oldest_decoy()
     return EdgeStream(n=g.n, events=tuple(events), c_declared=g.c_declared)
 
 

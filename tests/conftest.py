@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -32,6 +33,37 @@ def random_graph(rng: random.Random, n: int, density: float | None = None) -> Gr
         if rng.random() < prob
     ]
     return build_graph(n, edges)
+
+
+def subset_dp_matching_size(g: Graph) -> int:
+    """Maximum matching by dynamic programming over vertex subsets (n <= 16).
+
+    The lowest vertex of a subset is either left unmatched or matched to one
+    of its neighbours in the subset; memoised on the subset's bitmask.
+    Independent of both the blossom search and the exhaustive edge branching.
+    """
+    if g.n > 16:
+        raise ValueError(f"subset DP needs n <= 16, got {g.n}")
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+
+    @cache
+    def best(mask: int) -> int:
+        if not mask:
+            return 0
+        low = mask & -mask
+        rest = mask ^ low
+        out = best(rest)
+        cand = nbr[low.bit_length() - 1] & rest
+        while cand:
+            w = cand & -cand
+            out = max(out, 1 + best(rest ^ w))
+            cand ^= w
+        return out
+
+    return best((1 << g.n) - 1)
 
 
 def naive_alpha_positions(edges: list[tuple[int, int]], alpha: float) -> set[int]:

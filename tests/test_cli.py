@@ -69,6 +69,16 @@ def test_estimate_rejects_c_below_one_naming_c(tmp_path, capsys):
     assert "c must be >= 1" in err and "alpha" not in err
 
 
+def test_estimate_over_budget_is_a_usage_error(tmp_path, capsys):
+    spath = tmp_path / "dense.txt"
+    k10 = [f"+ {u} {v}" for u in range(10) for v in range(u + 1, 10)]
+    spath.write_text("n 10\n" + "\n".join(k10) + "\n")
+    code = main(["estimate", str(spath), "--algorithm", "dynamic", "--c", "1", "--mu", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the budget" in err
+
+
 def test_experiment_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     out = tmp_path / "out.csv"

@@ -25,7 +25,14 @@ from arbormatch import (
 )
 from arbormatch.streams import EdgeStream, StreamEvent
 
-from conftest import naive_alpha_positions, path_graph, petersen, random_graph, star_graph
+from conftest import (
+    naive_alpha_positions,
+    path_graph,
+    petersen,
+    random_graph,
+    star_graph,
+    subset_dp_matching_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +124,91 @@ def test_matching_oracle_equivalence_small(rng):
     for _ in range(400):
         g = random_graph(rng, rng.randint(1, 7))
         assert maximum_matching_size(g) == brute_force_matching_size(g)
+
+
+def test_subset_dp_agrees_with_brute_force(rng):
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 8))
+        if g.m <= 24:
+            assert subset_dp_matching_size(g) == brute_force_matching_size(g)
+
+
+def test_matching_agrees_with_subset_dp_beyond_brute_force_cap(rng):
+    for _ in range(300):
+        n = rng.randint(10, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = build_graph(n, rng.sample(pairs, rng.randint(25, 40)))
+        assert maximum_matching_size(g) == subset_dp_matching_size(g)
+
+
+def test_matching_where_state_left_by_an_earlier_search_misleads():
+    # A search that keeps the previous root's "used" marks skips re-queueing
+    # a blossom vertex in the first graph and finds 6, not 7; one that keeps
+    # the previous root's blossom members never ends on the second.
+    cases = [
+        (14, [
+            (7, 13), (4, 5), (0, 13), (8, 10), (1, 3), (0, 6), (1, 12), (4, 10),
+            (2, 4), (0, 7), (3, 8), (5, 13), (2, 8), (2, 7), (3, 7), (7, 12),
+            (10, 12), (3, 10), (9, 10), (4, 7), (11, 12), (2, 6), (2, 3), (1, 10),
+            (0, 2), (3, 6), (4, 12),
+        ], 7),
+        (7, [
+            (2, 6), (4, 5), (3, 5), (0, 6), (1, 6), (1, 5), (4, 6), (0, 5),
+            (1, 2), (0, 1), (5, 6), (0, 2),
+        ], 3),
+    ]
+    for n, edges, expected in cases:
+        g = build_graph(n, edges)
+        assert subset_dp_matching_size(g) == expected
+        assert maximum_matching_size(g) == expected
+
+
+def _odd_cycle_edges(start, k):
+    return [(start + i, start + (i + 1) % k) for i in range(k)]
+
+
+def _relabelled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_matching_on_odd_cycles_joined_by_chords(rng):
+    # nested and neighbouring blossoms on n <= 16, scrambled labels
+    for _ in range(150):
+        edges, n = [], 0
+        while True:
+            k = rng.choice((3, 5, 7))
+            if n + k > 16:
+                break
+            edges += _odd_cycle_edges(n, k)
+            n += k
+        present = set(edges)
+        for _ in range(rng.randint(0, 4)):
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in present and (v, u) not in present:
+                present.add((u, v))
+                edges.append((u, v))
+        g = _relabelled(rng, n, edges)
+        assert maximum_matching_size(g) == subset_dp_matching_size(g)
+
+
+def test_matching_on_disjoint_odd_cycles_and_petersen_copies(rng):
+    # many roots each contract a blossom and fail: state one root's search
+    # leaves behind must not leak into the next
+    pet = petersen().edges
+    for _ in range(20):
+        edges, n, expected = [], 0, 0
+        for _ in range(rng.randint(5, 30)):
+            if rng.random() < 0.3:
+                edges += [(n + u, n + v) for u, v in pet]
+                n, expected = n + 10, expected + 5
+            else:
+                k = rng.choice((3, 5, 7, 9, 11))
+                edges += _odd_cycle_edges(n, k)
+                n, expected = n + k, expected + k // 2
+        n += rng.randint(0, 5)  # isolated vertices
+        assert maximum_matching_size(_relabelled(rng, n, edges)) == expected
 
 
 def test_matching_on_structured_graphs():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from arbormatch import (
@@ -6,6 +8,7 @@ from arbormatch import (
     ParseError,
     StreamEvent,
     StreamInvariantError,
+    build_graph,
     degeneracy,
     delete_event,
     generate_dynamic_stream,
@@ -200,6 +203,54 @@ def test_dynamic_stream_prefix_degeneracy_stays_bounded():
 def test_dynamic_stream_deterministic():
     g = generate_union_of_forests(25, 1, seed=0)
     assert generate_dynamic_stream(g, 0.4, seed=9) == generate_dynamic_stream(g, 0.4, seed=9)
+
+
+def _path_power(n, k, c):
+    """Each vertex joined to the next k: degeneracy k, dense enough that
+    random decoys often close a (k+1)-core and are refused or flushed."""
+    edges = [(i, i + j) for i in range(n) for j in range(1, k + 1) if i + j < n]
+    return build_graph(n, edges, c_declared=c)
+
+
+def _pinned_cases():
+    for c in (1, 2, 3):
+        g = generate_union_of_forests(60, c, seed=c)
+        for f in (0.0, 0.5, 1.0):
+            yield f"union c={c} f={f}", g, f, 10 * c + int(4 * f)
+    g = generate_union_of_forests(40, 2, seed=5)
+    yield "undeclared bound", Graph(n=g.n, edges=g.edges), 0.5, 3
+    yield "benchmark size", generate_union_of_forests(1000, 1, seed=0), 0.5, 1
+    yield "path square", _path_power(10, 2, 1), 0.6, 5
+    yield "path fourth power", _path_power(12, 4, 2), 0.75, 11
+
+
+# sha256 of serialize_stream(generate_dynamic_stream(g, f, seed)), recorded
+# with the whole-graph degeneracy check the local core check replaced
+PINNED_DYNAMIC_DIGESTS = {
+    "union c=1 f=0.0": "08f697213274580cf47267d10fd3c84101ec9e1241f29d9b477a5618f6edb6ce",
+    "union c=1 f=0.5": "33fde6733abc5e93415b6e6ca228d396197ebb52b27ef00b8578c39a602dc6de",
+    "union c=1 f=1.0": "25b358f66e7c3f2810e83f6d99ab10c5836e425710c3bc129f5f5685aaa8e965",
+    "union c=2 f=0.0": "97b718ff38491c2e31e94bd50a6e79a5728b14b6ea42c50c5806ec9e246dded3",
+    "union c=2 f=0.5": "4d02e55754fe42d56ea4cd97029e6417b51726ac1e816ee20e7b0c954f3ba00f",
+    "union c=2 f=1.0": "c8c205cd324ddec9827d30cb0d170b58eaf431f3f8b93c70e074a649a1ccce16",
+    "union c=3 f=0.0": "dc3b9a13f0a4fba81a6752b99a3af456d6f73dfeabc32ff37e26f4c6e477c152",
+    "union c=3 f=0.5": "2cdfff60812894dde68a9195d1acb3440cff00dc818d10fba36882de43a54783",
+    "union c=3 f=1.0": "a6987431414ca87832b051e89560a2fcd7bf02ecb3fc6e0f9b9580e7faa6f06c",
+    "undeclared bound": "68974b48dafb8c81162cd829c98b28a22ac0dbb6e146f388e43d03b3efb28e1c",
+    "benchmark size": "990ef7540553e538b3b20e7f65cbe3856fd71cda16dbfb0bd6d3451353df5c67",
+    "path square": "91e9eefbe96b0c698effdf0bce882844e5546acb6506afea2404760db6adb843",
+    "path fourth power": "4dada9ed969274d43a09b763a969661aa016bf2f377573ef2761ef527beeb1a3",
+}
+
+
+def test_dynamic_streams_match_pinned_digests():
+    got = {
+        name: hashlib.sha256(
+            serialize_stream(generate_dynamic_stream(g, f, seed)).encode()
+        ).hexdigest()
+        for name, g, f, seed in _pinned_cases()
+    }
+    assert got == PINNED_DYNAMIC_DIGESTS
 
 
 # ---------------------------------------------------------------------------
