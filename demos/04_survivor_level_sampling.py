@@ -9,15 +9,17 @@ a level that hoards too many live tests is terminated. The lowest surviving
 level whose count is in the trusted band supplies the estimate.
 """
 
+import math
+
 import numpy as np
 
 from arbormatch import (
-    AlphaGoodTest,
+    EdgeStream,
     alg4_estimate_e_alpha,
-    alpha_good_test_feed,
     estimate_matching_logspace,
     generate_star_forest,
     insert_event,
+    later_degree_profile,
     offline_alpha_good_set,
     order_stream,
 )
@@ -25,10 +27,17 @@ from arbormatch import (
 
 def main():
     print("== one survival test, by hand ==")
-    test = AlphaGoodTest.for_edge(1, 2, alpha=1)
-    for ev in [insert_event(2, 3), insert_event(2, 4)]:
-        test = alpha_good_test_feed(test, ev)
-        print(f"  after ({ev.u},{ev.v}): counters=({test.r_u},{test.r_v}) status={test.status}")
+    edges = [(1, 2), (2, 3), (2, 4)]
+    stream = EdgeStream(n=5, events=tuple(insert_event(u, v) for u, v in edges))
+    profile = later_degree_profile(stream)
+    for pos, ((u, v), worst) in enumerate(zip(edges, profile), 1):
+        print(f"  position {pos} ({u},{v}): at most {worst} later edges per endpoint")
+    for alpha in (1, 2):
+        # no cap: level 0 tests every edge, so its survivors are the offline set
+        est = alg4_estimate_e_alpha(stream, alpha=alpha, c=1, epsilon=0.5, seed=0,
+                                    tau_override=math.inf, collect_trace=True)
+        print(f"  alpha={alpha}: level-0 survivors {est.trace['survivors'][0]}, "
+              f"offline {sorted(offline_alpha_good_set(stream, alpha))}")
 
     print("\n== small streams are counted exactly (level 0 samples everything) ==")
     g = generate_star_forest(1000, 5)

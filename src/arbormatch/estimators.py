@@ -8,10 +8,11 @@ Four building blocks, combined two ways:
   count, a constant-factor surrogate for the matching size.
 * ``alg2_estimate`` runs a greedy maximal matching truncated at t edges next
   to alg1 in the same pass and picks whichever side is trustworthy.
-* ``alpha_good_test_feed`` is the per-edge survival test (at most alpha later
-  incident edges per endpoint); ``alg4_estimate_e_alpha`` runs the test under
-  geometric level sampling to estimate the number of surviving edges, and
-  ``estimate_matching_logspace`` turns that count into a matching estimate.
+* ``alg4_estimate_e_alpha`` runs a per-edge survival test (at most alpha
+  later incident edges per endpoint) under geometric level sampling to
+  estimate the number of surviving edges; ``graphs.offline_alpha_good_set``
+  is the exact offline reference for the same test, and
+  ``estimate_matching_logspace`` turns the count into a matching estimate.
 * ``dynamic_estimate`` is the insert/delete variant of alg2: counters are
   decremented on deletes and the greedy side runs on an edge sample that
   keeps each insert with probability capacity/(live edges) and never evicts,
@@ -26,20 +27,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, ConfigError
 from .graphs import Edge
+from .streams import INSERT
 
 if TYPE_CHECKING:
     from .streams import EdgeStream, StreamEvent
-
-_INSERT = "+"
-_DELETE = "-"
-
-TEST_ACTIVE = "active"
-TEST_FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ class Alg1State:
         return len(self.stored) + len(self.deg) + len(self.lower)
 
     def apply(self, ev: "StreamEvent") -> None:
-        if ev.kind == _INSERT:
+        if ev.kind == INSERT:
             self.apply_insert(ev.u, ev.v)
         else:
             self.apply_delete(ev.u, ev.v)
@@ -251,16 +247,12 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
     state = Alg1State(n, params, seed)
     matched: set[int] = set()
     r = 0
-    truncated = False
     peak = state.space_peak
     for u, v in edges:
-        if not truncated and u not in matched and v not in matched:
-            if r == t:
-                truncated = True  # t+1-st admissible edge: stop the greedy task
-            else:
-                matched.add(u)
-                matched.add(v)
-                r += 1
+        if r < t and u not in matched and v not in matched:
+            matched.add(u)
+            matched.add(v)
+            r += 1
         state.apply_insert(u, v)
         items = state.items() + r
         if items > peak:
@@ -292,48 +284,6 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
 # ---------------------------------------------------------------------------
 # Survival test (alg3) and level-sampled survivor counting (alg4)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlphaGoodTest:
-    """Survival test for one stream edge.
-
-    r_u / r_v count later edges incident to each endpoint; the test fails the
-    moment either exceeds alpha. The edge that started the test never counts
-    toward its own counters.
-    """
-
-    u: int
-    v: int
-    alpha: float
-    r_u: int = 0
-    r_v: int = 0
-    status: str = TEST_ACTIVE
-
-    @classmethod
-    def for_edge(cls, u: int, v: int, alpha: float) -> "AlphaGoodTest":
-        if u == v:
-            raise ConfigError(f"self-loop test edge ({u}, {v})")
-        a, b = (u, v) if u < v else (v, u)
-        return cls(u=a, v=b, alpha=alpha)
-
-
-def alpha_good_test_feed(test: AlphaGoodTest, event: "StreamEvent") -> AlphaGoodTest:
-    """Feed one subsequent insert event to an active test.
-
-    Returns the updated test; the status flips to failed when either endpoint
-    counter passes alpha.
-    """
-    if test.status != TEST_ACTIVE:
-        raise ConfigError("cannot feed a test that already failed")
-    if event.kind != _INSERT:
-        raise ConfigError("survival tests consume insert events only")
-    r_u = test.r_u + (1 if test.u in (event.u, event.v) else 0)
-    r_v = test.r_v + (1 if test.v in (event.u, event.v) else 0)
-    if r_u == test.r_u and r_v == test.r_v:
-        return test
-    status = TEST_FAILED if max(r_u, r_v) > test.alpha else TEST_ACTIVE
-    return replace(test, r_u=r_u, r_v=r_v, status=status)
 
 
 @dataclass(frozen=True)
@@ -391,7 +341,7 @@ def alg4_selection_threshold(n: int, epsilon: float) -> float:
 def check_survivor_params(alpha: float, c: int, epsilon: float) -> None:
     """Reject parameters the survivor counter cannot run with; raises ConfigError."""
     _check_c_epsilon(c, epsilon)
-    if alpha is None or alpha < 1:
+    if alpha is None or not alpha >= 1:  # also rejects NaN
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
 
 
@@ -566,6 +516,7 @@ def estimate_matching_logspace(
     seed+2, ...) a bounded number of times before failure is surfaced.
     """
     alpha = 6 * c
+    params = {"algorithm": "logspace", "alpha": alpha, "c": c, "epsilon": epsilon}
     peak = 0
     for attempt in range(LOGSPACE_MAX_ATTEMPTS):
         est = alg4_estimate_e_alpha(
@@ -574,34 +525,12 @@ def estimate_matching_logspace(
         if est.space_peak > peak:
             peak = est.space_peak
         if not est.failed:
-            return Estimate(
-                value=3 * est.value,
-                space_peak=peak,
-                seed=seed,
-                params={
-                    "algorithm": "logspace",
-                    "alpha": alpha,
-                    "c": c,
-                    "epsilon": epsilon,
-                    "attempts": attempt + 1,
-                    "selected_level": est.params["selected_level"],
-                    "num_levels": est.params["num_levels"],
-                    "tau": est.params["tau"],
-                },
-            )
-    return Estimate(
-        value=None,
-        space_peak=peak,
-        seed=seed,
-        params={
-            "algorithm": "logspace",
-            "alpha": alpha,
-            "c": c,
-            "epsilon": epsilon,
-            "attempts": LOGSPACE_MAX_ATTEMPTS,
-        },
-        failed=True,
-    )
+            params["attempts"] = attempt + 1
+            for key in ("selected_level", "num_levels", "tau"):
+                params[key] = est.params[key]
+            return Estimate(value=3 * est.value, space_peak=peak, seed=seed, params=params)
+    params["attempts"] = LOGSPACE_MAX_ATTEMPTS
+    return Estimate(value=None, space_peak=peak, seed=seed, params=params, failed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +562,7 @@ class _SampledMatching:
 
     def apply(self, ev: "StreamEvent") -> None:
         e = (ev.u, ev.v)
-        if ev.kind == _INSERT:
+        if ev.kind == INSERT:
             self.live_total += 1
             keep_p = min(1.0, self.capacity / self.live_total)
             if keep_p >= 1.0 or self.rng.random() < keep_p:

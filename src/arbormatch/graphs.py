@@ -373,8 +373,8 @@ class CharacterizationReport:
 
     ``h_mu`` counts vertices of degree > mu; the low-degree subgraph G_L is
     induced on the others, with ``s_mu`` edges, maximum matching ``m_mu`` and
-    ``n_l`` non-isolated vertices. ``e_alpha`` is filled separately because it
-    depends on a stream ordering, not just the graph.
+    ``n_l`` non-isolated vertices. The surviving-edge count depends on a
+    stream ordering, not just the graph, so it is not part of this report.
     """
 
     mu: int
@@ -383,8 +383,6 @@ class CharacterizationReport:
     s_mu: int
     m_mu: int
     n_l: int
-    alpha: float | None = None
-    e_alpha: int | None = None
 
 
 def characterize(g: Graph, mu: int) -> CharacterizationReport:

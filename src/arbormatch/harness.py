@@ -12,7 +12,7 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError
 from .estimators import (
@@ -231,13 +231,46 @@ def _format_row(rec: TrialRecord) -> list[str]:
     ]
 
 
-def emit_csv(records: list[TrialRecord], path: str) -> None:
-    """Write records as CSV; the ratio (and value) cell is empty when absent."""
+def emit_csv(records: Iterable[TrialRecord], path: str) -> list[TrialRecord]:
+    """Write records as CSV, one row as each arrives, and return them.
+
+    The ratio (and value) cell is empty when absent.
+    """
+    written: list[TrialRecord] = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for rec in records:
             writer.writerow(_format_row(rec))
+            written.append(rec)
+    return written
+
+
+def _trials(
+    config: ExperimentConfig, fixed: tuple[Graph, int] | None
+) -> Iterator[TrialRecord]:
+    for i in range(config.trials):
+        seed = config.seed0 + i
+        if fixed is not None:
+            g, m_star = fixed
+        else:
+            g = GENERATORS[config.generator](config, seed)
+            m_star = maximum_matching_size(g)
+        start = time.perf_counter()
+        est = _run_estimator(config, g, seed)
+        ms = (time.perf_counter() - start) * 1000.0
+        ratio = None
+        if not est.failed and m_star > 0:
+            ratio = est.value / m_star
+        yield TrialRecord(
+            seed=seed,
+            value=est.value,
+            m_star=m_star,
+            ratio=ratio,
+            space_peak=est.space_peak,
+            failed=est.failed,
+            ms=ms,
+        )
 
 
 def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> list[TrialRecord]:
@@ -249,49 +282,12 @@ def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> lis
     """
     validate_config(config)
     csv_path = csv_path or config.output
-    records: list[TrialRecord] = []
-    fixed_graph: Graph | None = None
-    fixed_m_star: int | None = None
+    fixed = None
     if config.graph_seed is not None:
         fixed_graph = GENERATORS[config.generator](config, config.graph_seed)
-        fixed_m_star = maximum_matching_size(fixed_graph)
-
-    out: TextIO | None = None
-    writer = None
-    try:
-        if csv_path is not None:
-            out = open(csv_path, "w", newline="")
-            writer = csv.writer(out)
-            writer.writerow(CSV_HEADER)
-        for i in range(config.trials):
-            seed = config.seed0 + i
-            if fixed_graph is not None:
-                g, m_star = fixed_graph, fixed_m_star
-            else:
-                g = GENERATORS[config.generator](config, seed)
-                m_star = maximum_matching_size(g)
-            start = time.perf_counter()
-            est = _run_estimator(config, g, seed)
-            ms = (time.perf_counter() - start) * 1000.0
-            ratio = None
-            if not est.failed and m_star > 0:
-                ratio = est.value / m_star
-            rec = TrialRecord(
-                seed=seed,
-                value=est.value,
-                m_star=m_star,
-                ratio=ratio,
-                space_peak=est.space_peak,
-                failed=est.failed,
-                ms=ms,
-            )
-            records.append(rec)
-            if writer is not None:
-                writer.writerow(_format_row(rec))
-    finally:
-        if out is not None:
-            out.close()
-    return records
+        fixed = (fixed_graph, maximum_matching_size(fixed_graph))
+    trials = _trials(config, fixed)
+    return list(trials) if csv_path is None else emit_csv(trials, csv_path)
 
 
 def summarize_ratios(
@@ -357,10 +353,6 @@ class LemmaReport:
         return "\n".join(lines)
 
 
-def _check(name: str, holds: bool, witness: str) -> LemmaCheck:
-    return LemmaCheck(name=name, holds=holds, witness=witness)
-
-
 def lemma_alpha_threshold(c: int, mu: int) -> float:
     """The later-neighbor threshold max(mu-1, 4c(mu+1)/(mu+1-2c))."""
     return max(mu - 1.0, 4.0 * c * (mu + 1) / (mu + 1 - 2 * c))
@@ -372,17 +364,17 @@ def degree_threshold_checks(
     """High-degree-count bound and the two-sided matching sandwich."""
     factor = 2.0 * mu / (mu - 2 * c + 1)
     return [
-        _check(
+        LemmaCheck(
             "high-degree-count",
             h_mu <= factor * m_star,
             f"h_mu={h_mu} <= {factor:.4f}*m_star={factor * m_star:.4f}",
         ),
-        _check(
+        LemmaCheck(
             "sandwich-lower",
             m_star <= h_mu + m_mu,
             f"m_star={m_star} <= h_mu+m_mu={h_mu + m_mu}",
         ),
-        _check(
+        LemmaCheck(
             "sandwich-upper",
             h_mu + m_mu <= (factor + 1.0) * m_star,
             f"h_mu+m_mu={h_mu + m_mu} <= {(factor + 1.0):.4f}*m_star={(factor + 1.0) * m_star:.4f}",
@@ -403,17 +395,17 @@ def alpha_good_checks(
     """Two-sided window on the surviving-edge count, plus the finer lower bound."""
     coeff = 0.5 - c / (mu + 1.0)
     return [
-        _check(
+        LemmaCheck(
             f"alpha-good-lower [{label}]",
             coeff * m_star <= e_alpha,
             f"{coeff:.4f}*m_star={coeff * m_star:.4f} <= e_alpha={e_alpha}",
         ),
-        _check(
+        LemmaCheck(
             f"alpha-good-intermediate [{label}]",
             coeff * h_mu + s_mu <= e_alpha,
             f"{coeff:.4f}*h_mu+s_mu={coeff * h_mu + s_mu:.4f} <= e_alpha={e_alpha}",
         ),
-        _check(
+        LemmaCheck(
             f"alpha-good-upper [{label}]",
             e_alpha <= (1.25 * alpha + 2.0) * m_star,
             f"e_alpha={e_alpha} <= {(1.25 * alpha + 2.0):.4f}*m_star={(1.25 * alpha + 2.0) * m_star:.4f}",
@@ -425,12 +417,12 @@ def triple_alpha_checks(c: int, m_star: int, e_6c: int, label: str) -> list[Lemm
     """m_star <= 3*e_{6c} <= (22.5c+6)*m_star for the canonical threshold 6c."""
     upper = (22.5 * c + 6.0) * m_star
     return [
-        _check(
+        LemmaCheck(
             f"triple-alpha-lower [{label}]",
             m_star <= 3 * e_6c,
             f"m_star={m_star} <= 3*e_6c={3 * e_6c}",
         ),
-        _check(
+        LemmaCheck(
             f"triple-alpha-upper [{label}]",
             3 * e_6c <= upper,
             f"3*e_6c={3 * e_6c} <= {upper:.4f}",
@@ -441,12 +433,12 @@ def triple_alpha_checks(c: int, m_star: int, e_6c: int, label: str) -> list[Lemm
 def forest_window_checks(m_star: int, e_1: int, label: str) -> list[LemmaCheck]:
     """On forests the survivor count at threshold 1 sits in [m_star, 2*m_star]."""
     return [
-        _check(
+        LemmaCheck(
             f"forest-window-lower [{label}]",
             m_star <= e_1,
             f"m_star={m_star} <= e_1={e_1}",
         ),
-        _check(
+        LemmaCheck(
             f"forest-window-upper [{label}]",
             e_1 <= 2 * m_star,
             f"e_1={e_1} <= 2*m_star={2 * m_star}",

@@ -265,8 +265,6 @@ def generate_random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n >= 2 vertices (decoded Pruefer sequence)."""
     if n < 2:
         raise GraphError(f"n must be >= 2, got {n}")
-    if n == 2:
-        return build_graph(2, [(0, 1)], c_declared=1)
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return build_graph(n, pruefer_to_edges(seq), c_declared=1)

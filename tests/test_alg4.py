@@ -33,6 +33,19 @@ def test_path_is_counted_exactly_at_level_zero():
     assert est.params["tau"] >= 3
 
 
+def test_survival_test_by_hand():
+    # position 1's endpoint 2 sees two later edges, position 2's one, position 3's none
+    st = _stream(5, [(1, 2), (2, 3), (2, 4)])
+    for alpha, survivors in ((1, [2, 3]), (2, [1, 2, 3])):
+        est = alg4_estimate_e_alpha(
+            st, alpha=alpha, c=1, epsilon=0.5, seed=0,
+            tau_override=math.inf, collect_trace=True,
+        )
+        assert est.trace["started"][0] == [1, 2, 3]
+        assert est.trace["survivors"][0] == survivors
+        assert est.value == len(survivors)
+
+
 def test_small_streams_return_exact_survivor_counts(rng):
     # level 0 samples everything, so under the cap the count is exact
     for seed in range(20):
@@ -74,7 +87,7 @@ def test_survivors_are_a_level_sample_of_the_offline_set(rng):
     for seed in range(10):
         g = random_graph(rng, rng.randint(3, 12))
         st = order_stream(g, "uniform-random", seed)
-        alpha = rng.choice([1, 2, 3])
+        alpha = rng.choice([1, 1.5, 2, 2.5, 3])
         est = alg4_estimate_e_alpha(
             st, alpha=alpha, c=1, epsilon=0.5, seed=seed,
             tau_override=math.inf, collect_trace=True,

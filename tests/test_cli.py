@@ -69,6 +69,15 @@ def test_estimate_rejects_c_below_one_naming_c(tmp_path, capsys):
     assert "c must be >= 1" in err and "alpha" not in err
 
 
+def test_estimate_rejects_nan_alpha(tmp_path, capsys):
+    spath = tmp_path / "s.txt"
+    spath.write_text("n 5\n+ 0 1\n+ 1 2\n+ 2 3\n+ 3 4\n")
+    code = main(["estimate", str(spath), "--algorithm", "alg4", "--c", "1", "--alpha", "nan"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "alpha must be >= 1" in captured.err and captured.out == ""
+
+
 def test_estimate_over_budget_is_a_usage_error(tmp_path, capsys):
     spath = tmp_path / "dense.txt"
     k10 = [f"+ {u} {v}" for u in range(10) for v in range(u + 1, 10)]

@@ -5,14 +5,12 @@ import pytest
 from arbormatch import (
     Alg1Params,
     Alg1State,
-    AlphaGoodTest,
     BudgetExceeded,
     ConfigError,
     EdgeStream,
     HasDeletions,
     alg1_estimate,
     alg2_estimate,
-    alpha_good_test_feed,
     characterize,
     delete_event,
     dynamic_estimate,
@@ -22,7 +20,6 @@ from arbormatch import (
     maximum_matching_size,
     order_stream,
 )
-from arbormatch.estimators import TEST_ACTIVE, TEST_FAILED
 
 from conftest import path_graph, random_graph, star_graph
 
@@ -171,40 +168,6 @@ def test_alg2_deterministic():
     a = alg2_estimate(st, c=2, mu=5, epsilon=0.5, seed=9)
     b = alg2_estimate(st, c=2, mu=5, epsilon=0.5, seed=9)
     assert (a.value, a.space_peak, a.params["t"]) == (b.value, b.space_peak, b.params["t"])
-
-
-# ---------------------------------------------------------------------------
-# survival test
-# ---------------------------------------------------------------------------
-
-
-def test_survival_test_fails_on_second_shared_endpoint():
-    t = AlphaGoodTest.for_edge(1, 2, alpha=1)
-    t = alpha_good_test_feed(t, insert_event(2, 3))
-    assert t.status == TEST_ACTIVE and t.r_v == 1
-    t = alpha_good_test_feed(t, insert_event(2, 4))
-    assert t.status == TEST_FAILED and t.r_v == 2
-
-
-def test_survival_test_ignores_disjoint_edges():
-    t = AlphaGoodTest.for_edge(1, 2, alpha=0)
-    t = alpha_good_test_feed(t, insert_event(3, 4))
-    assert t.status == TEST_ACTIVE and (t.r_u, t.r_v) == (0, 0)
-
-
-def test_survival_test_with_no_feeds_stays_active():
-    t = AlphaGoodTest.for_edge(1, 2, alpha=5)
-    assert t.status == TEST_ACTIVE
-
-
-def test_survival_test_rejects_bad_feeds():
-    t = AlphaGoodTest.for_edge(1, 2, alpha=0)
-    with pytest.raises(ConfigError):
-        alpha_good_test_feed(t, delete_event(1, 3))
-    failed = alpha_good_test_feed(t, insert_event(1, 3))
-    assert failed.status == TEST_FAILED
-    with pytest.raises(ConfigError):
-        alpha_good_test_feed(failed, insert_event(1, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ def test_validate_rejects_incomplete_estimators():
         )
 
 
+def test_parse_config_rejects_nan_alpha(tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="alpha must be >= 1"):
+        parse_config(f"estimator = alg4\nalpha = nan\noutput = {out}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("generator", ["random-tree", "star-forest"])
 @pytest.mark.parametrize("estimator", ["logspace", "alg2", "alg4"])
 def test_parse_config_rejects_c_below_one(generator, estimator):
