@@ -3,9 +3,11 @@
 
 An edge survives at threshold alpha if each endpoint gains at most alpha
 later incident edges. The number of such survivors brackets the matching
-size, and it can be estimated in one pass: parallel levels sample the stream
-at geometrically decaying rates, each sampled edge runs a survival test, and
-a level that hoards too many live tests is terminated. The lowest surviving
+size, and it can be estimated in one pass: levels sample the stream at
+geometrically decaying rates, coupled so that each edge draws one top level
+and runs one survival test that counts toward every level up to it. Level
+counts therefore nest, and a level that hoards too many live tests raises a
+single floor below which edges are no longer tested. The lowest surviving
 level whose count is in the trusted band supplies the estimate.
 """
 

@@ -11,6 +11,7 @@ import json
 import sys
 
 from .errors import BudgetExceeded, ConfigError, ParseError
+from .estimators import check_alpha
 from .graphs import (
     characterize,
     degeneracy,
@@ -52,6 +53,10 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.stream is not None:
+        if args.alpha is None:
+            raise ConfigError("--alpha is required when --stream is given")
+        check_alpha(args.alpha)
     g = parse_graph(_read(args.graph), c_declared=args.c)
     report = characterize(g, args.mu)
     payload = {
@@ -66,8 +71,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "n_l": report.n_l,
     }
     if args.stream is not None:
-        if args.alpha is None:
-            raise ConfigError("--alpha is required when --stream is given")
         stream = parse_stream(_read(args.stream))
         payload["alpha"] = args.alpha
         payload["e_alpha"] = len(offline_alpha_good_set(stream, args.alpha))

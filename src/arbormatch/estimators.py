@@ -10,7 +10,9 @@ Four building blocks, combined two ways:
   to alg1 in the same pass and picks whichever side is trustworthy.
 * ``alg4_estimate_e_alpha`` runs a per-edge survival test (at most alpha
   later incident edges per endpoint) under geometric level sampling to
-  estimate the number of surviving edges; ``graphs.offline_alpha_good_set``
+  estimate the number of surviving edges: each edge draws one top level and
+  one test serves every level up to it, so levels nest and terminate from
+  the bottom up as a single rising floor; ``graphs.offline_alpha_good_set``
   is the exact offline reference for the same test, and
   ``estimate_matching_logspace`` turns the count into a matching estimate.
 * ``dynamic_estimate`` is the insert/delete variant of alg2: counters are
@@ -303,23 +305,16 @@ class LevelState:
 
 
 class _LiveTest:
-    __slots__ = ("u", "v", "r_u", "r_v", "level", "alive", "pos")
+    __slots__ = ("u", "v", "r_u", "r_v", "top", "alive", "pos")
 
-    def __init__(self, u: int, v: int, level: int, pos: int):
+    def __init__(self, u: int, v: int, top: int, pos: int):
         self.u = u
         self.v = v
         self.r_u = 0
         self.r_v = 0
-        self.level = level
+        self.top = top
         self.alive = True
         self.pos = pos
-
-
-def _geometric_skip(rng: random.Random, p: float) -> int:
-    """Events to skip until the next sampled one (>= 1) at per-event rate p."""
-    if p >= 1.0:
-        return 1
-    return int(math.log(1.0 - rng.random()) / math.log(1.0 - p)) + 1
 
 
 def alg4_num_levels(n: int, c: int, epsilon: float) -> int:
@@ -338,11 +333,16 @@ def alg4_selection_threshold(n: int, epsilon: float) -> float:
     return 8.0 * math.log(max(n, 2)) / (epsilon * epsilon)
 
 
+def check_alpha(alpha: float) -> None:
+    """The survival threshold alpha must be a number >= 1; raises ConfigError."""
+    if alpha is None or not alpha >= 1:  # also rejects NaN
+        raise ConfigError(f"alpha must be >= 1, got {alpha}")
+
+
 def check_survivor_params(alpha: float, c: int, epsilon: float) -> None:
     """Reject parameters the survivor counter cannot run with; raises ConfigError."""
     _check_c_epsilon(c, epsilon)
-    if alpha is None or not alpha >= 1:  # also rejects NaN
-        raise ConfigError(f"alpha must be >= 1, got {alpha}")
+    check_alpha(alpha)
 
 
 def alg4_estimate_e_alpha(
@@ -357,10 +357,14 @@ def alg4_estimate_e_alpha(
 ) -> Estimate:
     """Estimate the number of surviving (alpha-good) edges of an insert-only stream.
 
-    Levels i = 0.. sample each event with probability (1+eps)^-i and run a
-    survival test per sampled edge; existing tests are fed before the event's
-    own sampling decision. A level is terminated the moment its live-test set
-    exceeds tau. Post-processing returns |X_0| exactly when level 0 survived,
+    Each edge draws one geometric top level L with P(L >= i) = (1+eps)^-i, so
+    level i samples it with probability (1+eps)^-i, and gets one survival
+    test that counts toward every level from the current floor up to L;
+    existing tests are fed before the event's own draw. Level counts nest
+    (level i holds at least as many live tests as level i+1), so levels are
+    terminated from the bottom up: the floor rises past every level whose
+    live-test count exceeds tau, and an edge whose L is below the floor gets
+    no test. Post-processing returns |X_0| exactly when level 0 survived,
     otherwise |X_j|/p_j for the smallest live level under tau'*(1+eps), or a
     failed Estimate when no level qualifies.
 
@@ -374,20 +378,17 @@ def alg4_estimate_e_alpha(
     tau = alg4_level_cap(n, alpha, c, epsilon) if tau_override is None else tau_override
     tau_prime = alg4_selection_threshold(n, epsilon)
     growth = 1.0 + epsilon
+    log_growth = math.log(growth)
+    top_level = num_levels - 1
 
-    master = random.Random(seed)
-    rngs = [random.Random(master.getrandbits(64)) for _ in range(num_levels)]
+    rng = random.Random(seed)
     probs = [growth ** (-i) for i in range(num_levels)]
     live_count = [0] * num_levels
     max_live = [0] * num_levels
-    terminated = [False] * num_levels
+    floor = 0  # levels below the floor are terminated
     by_vertex: dict[int, list[_LiveTest]] = {}
-    due: dict[int, list[int]] = {}
-    for i in range(num_levels):
-        due.setdefault(_geometric_skip(rngs[i], probs[i]), []).append(i)
-    total_live = 0
     peak = 0
-    all_tests: list[_LiveTest] = []
+    all_tests: list[tuple[_LiveTest, int]] = []  # (test, floor when it started)
 
     for pos in range(1, len(edges) + 1):
         u, v = edges[pos - 1]
@@ -398,7 +399,7 @@ def alg4_estimate_e_alpha(
                 continue
             keep = 0
             for tst in tests:
-                if not tst.alive or terminated[tst.level]:
+                if not tst.alive or tst.top < floor:
                     continue  # stale entry, drop it
                 if x == tst.u:
                     tst.r_u += 1
@@ -408,47 +409,42 @@ def alg4_estimate_e_alpha(
                     failed_now = tst.r_v > alpha
                 if failed_now:
                     tst.alive = False
-                    live_count[tst.level] -= 1
-                    total_live -= 1
+                    for i in range(floor, tst.top + 1):
+                        live_count[i] -= 1
                     continue
                 tests[keep] = tst
                 keep += 1
             del tests[keep:]
             if not tests:
                 del by_vertex[x]
-        scheduled = due.pop(pos, None)
-        if scheduled:
-            for i in scheduled:
-                if terminated[i]:
-                    continue
-                tst = _LiveTest(u, v, i, pos)
-                by_vertex.setdefault(u, []).append(tst)
-                by_vertex.setdefault(v, []).append(tst)
-                if collect_trace:
-                    all_tests.append(tst)
+        top = min(int(-math.log(1.0 - rng.random()) / log_growth), top_level)
+        if top >= floor:
+            tst = _LiveTest(u, v, top, pos)
+            by_vertex.setdefault(u, []).append(tst)
+            by_vertex.setdefault(v, []).append(tst)
+            if collect_trace:
+                all_tests.append((tst, floor))
+            for i in range(floor, top + 1):
                 live_count[i] += 1
-                total_live += 1
                 if live_count[i] > max_live[i]:
                     max_live[i] = live_count[i]
-                if live_count[i] > tau:
-                    terminated[i] = True
-                    total_live -= live_count[i]
-                else:
-                    due.setdefault(pos + _geometric_skip(rngs[i], probs[i]), []).append(i)
-        if 3 * total_live > peak:
-            peak = 3 * total_live
+            while floor < num_levels and live_count[floor] > tau:
+                floor += 1
+            # every live test counts toward the floor level, at 3 items each
+            if floor < num_levels and 3 * live_count[floor] > peak:
+                peak = 3 * live_count[floor]
 
     value: float | int | None
     failed = False
     selected: int | None = None
-    if not terminated[0] and live_count[0] <= tau:
+    if floor == 0:
         value = live_count[0]
         selected = 0
     else:
         threshold = tau_prime * (1.0 + epsilon)
         value = None
-        for i in range(num_levels):
-            if not terminated[i] and live_count[i] <= threshold:
+        for i in range(floor, num_levels):
+            if live_count[i] <= threshold:
                 selected = i
                 value = live_count[i] / probs[i]
                 break
@@ -457,18 +453,21 @@ def alg4_estimate_e_alpha(
 
     trace = None
     if collect_trace:
+        terminated = [i < floor for i in range(num_levels)]
         started: dict[int, list[int]] = {i: [] for i in range(num_levels)}
         survivors: dict[int, list[int]] = {i: [] for i in range(num_levels)}
-        for tst in all_tests:
-            started[tst.level].append(tst.pos)
-            if tst.alive and not terminated[tst.level]:
-                survivors[tst.level].append(tst.pos)
+        for tst, low in all_tests:
+            for i in range(low, tst.top + 1):
+                started[i].append(tst.pos)
+            if tst.alive:
+                for i in range(floor, tst.top + 1):
+                    survivors[i].append(tst.pos)
         trace = {
             "started": started,
             "survivors": survivors,
             "max_live": list(max_live),
             "final_live": list(live_count),
-            "terminated": list(terminated),
+            "terminated": terminated,
             "levels": tuple(
                 LevelState(
                     index=i,

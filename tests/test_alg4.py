@@ -187,3 +187,52 @@ def test_logspace_ratio_on_star_forest():
 def test_num_levels_uses_the_stream_length_bound():
     assert alg4_num_levels(100, 2, 0.5) == math.floor(math.log(200) / math.log(1.5)) + 1
     assert alg4_num_levels(1, 1, 0.5) == 1
+
+
+def _coupled_level_workloads():
+    # c09's star-forest workloads, then union-of-forests streams far above the
+    # cap; at a cap below one test every new test ends all the levels it reaches
+    yield order_stream(generate_star_forest(2000, 1), "uniform-random", 0), 1, 0.9, None
+    yield order_stream(generate_star_forest(300, 5), "as-generated"), 1, 0.3, None
+    for c, n, tau in ((1, 3000, 40), (2, 2000, 150), (3, 1000, 400), (1, 300, 0.5)):
+        g = generate_union_of_forests(n, c, seed=c)
+        yield order_stream(g, "uniform-random", c), c, 0.3, tau
+
+
+def test_coupled_levels_nest_and_terminate_from_the_bottom():
+    for stream, c, epsilon, tau_override in _coupled_level_workloads():
+        for seed in range(4):
+            est = alg4_estimate_e_alpha(
+                stream, alpha=6 * c, c=c, epsilon=epsilon, seed=seed,
+                tau_override=tau_override, collect_trace=True,
+            )
+            trace = est.trace
+            terminated = trace["terminated"]
+            floor = sum(terminated)
+            assert terminated == [True] * floor + [False] * (len(terminated) - floor)
+            if tau_override is not None:
+                assert floor >= 1  # the cap really was exceeded
+            for level in range(floor, len(terminated) - 1):
+                assert set(trace["survivors"][level + 1]) <= set(trace["survivors"][level])
+            # one level's worth of live tests, at 3 items each
+            assert est.space_peak <= 3 * est.params["tau"]
+
+
+def test_sampled_regime_tracks_the_offline_count():
+    # the cap sits far below m, so level 0 terminates and a sampled level is selected
+    epsilon = 0.1
+    for c in (1, 2):
+        hits = 0
+        seeds = range(20)
+        for seed in seeds:
+            g = generate_union_of_forests(3000, c, seed=seed)
+            stream = order_stream(g, "uniform-random", seed)
+            exact = len(offline_alpha_good_set(stream, 6 * c))
+            est = alg4_estimate_e_alpha(
+                stream, alpha=6 * c, c=c, epsilon=epsilon, seed=seed, tau_override=200
+            )
+            assert exact > 10 * 200
+            assert not est.failed and est.params["selected_level"] >= 1
+            if (1 - 3 * epsilon) * exact <= est.value <= (1 + 3 * epsilon) * exact:
+                hits += 1
+        assert hits >= 0.9 * len(seeds)

@@ -127,3 +127,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 def test_missing_file_reports_io_error(capsys):
     assert main(["oracle", "/nonexistent/graph.txt", "--mu", "3"]) == 1
     assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "-1"])
+def test_oracle_rejects_bad_alpha(tmp_path, capsys, alpha):
+    gpath = tmp_path / "g.txt"
+    spath = tmp_path / "s.txt"
+    gpath.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n")
+    spath.write_text("n 5\n+ 0 1\n+ 1 2\n+ 2 3\n+ 3 4\n")
+    code = main(["oracle", str(gpath), "--mu", "3", "--stream", str(spath), "--alpha", alpha])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "alpha must be >= 1" in captured.err
+    assert captured.out == ""
