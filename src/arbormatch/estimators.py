@@ -16,10 +16,9 @@ Four building blocks, combined two ways:
   is the exact offline reference for the same test, and
   ``estimate_matching_logspace`` turns the count into a matching estimate.
 * ``dynamic_estimate`` is the insert/delete variant of alg2: counters are
-  decremented on deletes and the greedy side runs on an edge sample that
-  keeps each insert with probability capacity/(live edges) and never evicts,
-  so it can outgrow its capacity; the matching is rebuilt after deletions
-  touching the sample.
+  decremented on deletes and the greedy side runs on a hash-and-level edge
+  sample that never holds more than its capacity; the sample's matching is
+  kept maximal by re-matching the endpoints of matched edges that leave it.
 
 Space is instrumented at event granularity in abstract items: one stored
 edge = 1 item, one counter = 1 item, one live survival test = 3 items.
@@ -37,6 +36,8 @@ from .graphs import Edge
 from .streams import INSERT
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .streams import EdgeStream, StreamEvent
 
 
@@ -128,11 +129,16 @@ class Alg1State:
         self.lower: dict[int, int] = {}  # l(.): stored-edge count per outside neighbor
         self.neighbors: dict[int, set[int]] = {v: set() for v in sampled}
         self.stored: set[Edge] = set()  # H: edges with a sampled endpoint
-        self.space_peak = len(sampled)
 
     def items(self) -> int:
         """Current stored items: |H| edges plus one counter per S and Gamma(S)\\S vertex."""
         return len(self.stored) + len(self.deg) + len(self.lower)
+
+    @property
+    def space_peak(self) -> int:
+        """Peak item count of an insert-only run, where items only grow, so the
+        peak is the current count; delete-aware callers track their own peak."""
+        return self.items()
 
     def apply(self, ev: "StreamEvent") -> None:
         if ev.kind == INSERT:
@@ -157,9 +163,6 @@ class Alg1State:
             self.neighbors[v].add(u)
         else:
             self.lower[v] = self.lower.get(v, 0) + 1
-        items = len(self.stored) + len(self.deg) + len(self.lower)
-        if items > self.space_peak:
-            self.space_peak = items
 
     def apply_delete(self, u: int, v: int) -> None:
         e = (u, v)
@@ -249,16 +252,12 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
     state = Alg1State(n, params, seed)
     matched: set[int] = set()
     r = 0
-    peak = state.space_peak
     for u, v in edges:
         if r < t and u not in matched and v not in matched:
             matched.add(u)
             matched.add(v)
             r += 1
         state.apply_insert(u, v)
-        items = state.items() + r
-        if items > peak:
-            peak = items
     if r < t:
         value: float | int = 2 * r
         branch = "greedy"
@@ -267,7 +266,7 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
         branch = "alg1"
     return Estimate(
         value=value,
-        space_peak=peak,
+        space_peak=state.space_peak + r,  # both only grow on inserts
         seed=seed,
         params={
             "algorithm": "alg2",
@@ -537,53 +536,99 @@ def estimate_matching_logspace(
 # ---------------------------------------------------------------------------
 
 
-class _SampledMatching:
-    """Edge sample with a greedy matching on top.
+_MASK64 = (1 << 64) - 1
 
-    Stand-in for a full dynamic maximal-matching structure: each arriving live
-    edge is retained with probability min(1, capacity/m_hat) where m_hat is
-    the running live-edge count, and the greedy matching is recomputed over
-    the sample (in retention order) after every deletion that touches it.
-    Nothing is evicted, so ``capacity`` only sets the retention rate: after m
-    inserts the sample holds about capacity * (1 + ln(m / capacity)) edges.
+
+def _mix64(x: int) -> int:
+    """splitmix64's finalizer: a bijective mix of a 64-bit integer."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+class _EdgeSample:
+    """Capacity-bounded edge sample of the live graph with a maximal matching on it.
+
+    An edge (u, v), normalized u < v as stream events are, passes level L when
+    the top L bits of its 64-bit hash (splitmix64 of u, then v, under
+    ``salt``) are zero, which happens with probability 2^-L. The sample is
+    always {live e : e passes ``level``}: an insert that pushes it past
+    ``capacity`` raises the level one step at a time, dropping the edges the
+    new level rejects, until it fits; a delete only removes its edge, and the
+    level never falls. This is the subsampling of Chitnis et al. (SODA 2016).
+
+    ``mate`` is a matching of sample edges, maximal over the sample. Inserts
+    extend it greedily. When a matched edge leaves the sample only its two
+    endpoints can become free, so each is re-matched against its sampled
+    neighbours; ``repairs`` counts those edges.
     """
 
-    def __init__(self, capacity: int, seed: int):
+    def __init__(self, capacity: int, salt: int):
         self.capacity = capacity
-        self.rng = random.Random(seed)
-        self.live_total = 0
-        self.sample: dict[Edge, None] = {}
-        self.matched: dict[int, int] = {}
-        self.msize = 0
+        self.salt = salt
+        self.level = 0
+        self.size = 0
+        self.adj: dict[int, set[int]] = {}  # sampled neighbours; no empty sets
+        self.mate: dict[int, int] = {}
+        self.repairs = 0
 
-    def items(self) -> int:
-        return len(self.sample)
+    def passes(self, u: int, v: int) -> bool:
+        level = self.level
+        return level == 0 or _mix64(_mix64(self.salt ^ u) + v) >> (64 - level) == 0
+
+    def edges(self) -> list[Edge]:
+        return [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
 
     def apply(self, ev: "StreamEvent") -> None:
-        e = (ev.u, ev.v)
+        u, v = ev.u, ev.v
         if ev.kind == INSERT:
-            self.live_total += 1
-            keep_p = min(1.0, self.capacity / self.live_total)
-            if keep_p >= 1.0 or self.rng.random() < keep_p:
-                self.sample[e] = None
-                if ev.u not in self.matched and ev.v not in self.matched:
-                    self.matched[ev.u] = ev.v
-                    self.matched[ev.v] = ev.u
-                    self.msize += 1
-        else:
-            self.live_total -= 1
-            if e in self.sample:
-                del self.sample[e]
-                self._rebuild()
+            if self.passes(u, v):
+                self._insert(u, v)
+        elif v in self.adj.get(u, ()):
+            self._repair(self._remove(u, v))
 
-    def _rebuild(self) -> None:
-        self.matched = {}
-        self.msize = 0
-        for u, v in self.sample:
-            if u not in self.matched and v not in self.matched:
-                self.matched[u] = v
-                self.matched[v] = u
-                self.msize += 1
+    def _insert(self, u: int, v: int) -> None:
+        self.adj.setdefault(u, set()).add(v)
+        self.adj.setdefault(v, set()).add(u)
+        self.size += 1
+        mate = self.mate
+        if u not in mate and v not in mate:
+            mate[u] = v
+            mate[v] = u
+        while self.size > self.capacity:
+            self.level += 1
+            freed: list[int] = []
+            for a, b in self.edges():
+                if not self.passes(a, b):
+                    freed += self._remove(a, b)
+            self._repair(freed)  # after the drops: no repair matches along a doomed edge
+
+    def _remove(self, u: int, v: int) -> tuple[int, ...]:
+        """Drop sample edge (u, v); returns the endpoints it leaves unmatched."""
+        adj = self.adj
+        for x, y in ((u, v), (v, u)):
+            nbrs = adj[x]
+            nbrs.remove(y)
+            if not nbrs:
+                del adj[x]
+        self.size -= 1
+        if self.mate.get(u) != v:
+            return ()
+        del self.mate[u], self.mate[v]
+        self.repairs += 1
+        return (u, v)
+
+    def _repair(self, freed: Iterable[int]) -> None:
+        mate = self.mate
+        for x in freed:
+            if x in mate:
+                continue
+            for y in self.adj.get(x, ()):
+                if y not in mate:
+                    mate[x] = y
+                    mate[y] = x
+                    break
 
 
 DYNAMIC_BUDGET_FACTOR = 4  # allowed stream length: 4*c*n events
@@ -595,14 +640,23 @@ def dynamic_greedy_cutoff(n: int, c: int, epsilon: float, beta: float) -> int:
 
 
 def dynamic_estimate(
-    stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: int
+    stream: "EdgeStream",
+    c: int,
+    mu: int,
+    epsilon: float,
+    seed: int,
+    *,
+    capacity_override: int | None = None,
 ) -> Estimate:
     """Insert/delete matching estimate with the alg2 post-processing.
 
-    Runs the delete-aware degree sampler next to a greedy matching over a
-    4*t^2-edge uniform sample; returns twice the final greedy size when it
-    stays below t, the degree-sampling estimate otherwise. Streams longer
-    than the 4*c*n budget are rejected.
+    Runs the delete-aware degree sampler next to a maximal matching over an
+    edge sample of at most 4*t^2 live edges; returns twice the final matching
+    size when it stays below t, the degree-sampling estimate otherwise.
+    Streams longer than the 4*c*n budget are rejected.
+
+    ``capacity_override`` is a test hook that replaces 4*t^2, so small inputs
+    reach the sampled regime (``params["sample_level"] >= 1``).
     """
     n = stream.n
     budget = DYNAMIC_BUDGET_FACTOR * c * n
@@ -615,19 +669,22 @@ def dynamic_estimate(
     lam = probe.lam
     t = dynamic_greedy_cutoff(n, c, epsilon, beta)
     p = min(1.0, 8.0 / (lam * lam * t))
+    capacity = 4 * t * t if capacity_override is None else capacity_override
+    if capacity < 1:
+        raise ConfigError(f"the edge sample needs capacity >= 1, got {capacity}")
     master = random.Random(seed)
     sampler_seed = master.getrandbits(64)
-    matcher_seed = master.getrandbits(64)
+    salt = master.getrandbits(64)
     state = Alg1State(n, Alg1Params(mu=mu, p=p, c=c, epsilon=epsilon), sampler_seed)
-    matcher = _SampledMatching(capacity=4 * t * t, seed=matcher_seed)
-    peak = state.space_peak
+    sample = _EdgeSample(capacity, salt)
+    peak = state.items()
     for ev in stream.events:
-        matcher.apply(ev)
+        sample.apply(ev)
         state.apply(ev)
-        items = state.items() + matcher.items()
+        items = state.items() + sample.size
         if items > peak:
             peak = items
-    r = matcher.msize
+    r = len(sample.mate) // 2
     s = state.estimate()
     if r < t:
         value: float | int = 2 * r
@@ -647,9 +704,13 @@ def dynamic_estimate(
             "beta": beta,
             "t": t,
             "p": p,
+            "capacity": capacity,
             "greedy_r": r,
             "alg1_value": s,
             "branch": branch,
-            "matching_substitute": "uniform-edge-sample+greedy-rebuild",
+            "sample_level": sample.level,
+            "sample_size": sample.size,
+            "repairs": sample.repairs,
+            "matching_substitute": "hash-level-edge-sample+local-repair",
         },
     )

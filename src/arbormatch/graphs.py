@@ -385,8 +385,12 @@ class CharacterizationReport:
     n_l: int
 
 
-def characterize(g: Graph, mu: int) -> CharacterizationReport:
-    """Exact degree-threshold characterization of g at threshold mu >= 1."""
+def characterize(g: Graph, mu: int, m_star: int | None = None) -> CharacterizationReport:
+    """Exact degree-threshold characterization of g at threshold mu >= 1.
+
+    A caller that already holds M*(g) passes it as ``m_star`` to skip the
+    whole-graph matching; otherwise it is computed here.
+    """
     if mu < 1:
         raise GraphError(f"mu must be >= 1, got {mu}")
     deg = g.degrees
@@ -399,7 +403,7 @@ def characterize(g: Graph, mu: int) -> CharacterizationReport:
     low_graph = Graph(n=g.n, edges=low_edges)
     return CharacterizationReport(
         mu=mu,
-        m_star=maximum_matching_size(g),
+        m_star=maximum_matching_size(g) if m_star is None else m_star,
         h_mu=h_mu,
         s_mu=len(low_edges),
         m_mu=maximum_matching_size(low_graph),

@@ -101,7 +101,7 @@ def test_c02_degree_threshold_inequalities(corpus):
     for g, m_star in corpus:
         c = g.c_declared
         for mu in range(2 * c + 1, 6 * c + 1):
-            rep = characterize(g, mu)
+            rep = characterize(g, mu, m_star)
             factor = 2.0 * mu / (mu - 2 * c + 1)
             checked += 1
             if rep.h_mu > factor * m_star + 1e-9:

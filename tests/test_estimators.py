@@ -162,6 +162,33 @@ def test_alg2_greedy_branch_is_two_approximation(rng):
         assert m_star <= est.value <= 2 * m_star or m_star == 0
 
 
+def test_alg1_and_alg2_space_peak_is_the_largest_per_event_count(rng):
+    # reference: replay each estimator event by event and keep the running maximum
+    for seed in range(20):
+        g = random_graph(rng, rng.randint(2, 40))
+        st = order_stream(g, "uniform-random", seed)
+        params = Alg1Params(mu=3, p=0.5, c=1, epsilon=0.5)
+        state = Alg1State(g.n, params, seed)
+        peak = state.items()
+        for u, v in st.insert_edges():
+            state.apply_insert(u, v)
+            peak = max(peak, state.items())
+        assert alg1_estimate(st, params, seed).space_peak == peak
+
+        est = alg2_estimate(st, c=1, mu=3, epsilon=0.5, seed=seed)
+        t = est.params["t"]
+        state = Alg1State(g.n, Alg1Params(mu=3, p=est.params["p"], c=1, epsilon=0.5), seed)
+        matched, r = set(), 0
+        peak = state.items()
+        for u, v in st.insert_edges():
+            if r < t and u not in matched and v not in matched:
+                matched |= {u, v}
+                r += 1
+            state.apply_insert(u, v)
+            peak = max(peak, state.items() + r)
+        assert est.space_peak == peak
+
+
 def test_alg2_deterministic():
     g = generate_union_of_forests(80, 2, seed=1)
     st = order_stream(g, "uniform-random", 0)
@@ -234,4 +261,111 @@ def test_dynamic_deterministic():
     a = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=3)
     b = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=3)
     assert (a.value, a.space_peak) == (b.value, b.space_peak)
-    assert a.params["matching_substitute"] == "uniform-edge-sample+greedy-rebuild"
+    assert a.params["matching_substitute"] == "hash-level-edge-sample+local-repair"
+
+
+# ---------------------------------------------------------------------------
+# the dynamic estimator's edge sample
+# ---------------------------------------------------------------------------
+
+
+def _check_sample(sample, live):
+    """Capacity, sample = {live e : e passes the level}, and a maximal matching."""
+    edges = set(sample.edges())
+    assert sample.size == len(edges) <= sample.capacity
+    assert edges == {e for e in live if sample.passes(*e)}
+    mate = sample.mate
+    for x, y in mate.items():
+        assert mate[y] == x and (min(x, y), max(x, y)) in edges
+    for u, v in edges:
+        assert u in mate or v in mate  # maximal over the sample
+
+
+def test_edge_sample_invariants_hold_at_every_event():
+    from arbormatch import generate_dynamic_stream
+    from arbormatch.estimators import _EdgeSample
+
+    star = [insert_event(0, i) for i in range(1, 150)] + [delete_event(0, i) for i in range(1, 120)]
+    streams = [EdgeStream(n=150, events=tuple(star))]
+    for seed, fraction in enumerate((0.0, 0.5, 1.0)):
+        g = generate_union_of_forests(120, 2, seed=seed)
+        streams.append(generate_dynamic_stream(g, fraction, seed=seed + 10))
+    for k, st in enumerate(streams):
+        for capacity in (3, 20, 90):
+            sample = _EdgeSample(capacity, salt=1000 * k + capacity)
+            live = set()
+            for ev in st.events:
+                sample.apply(ev)
+                if ev.kind == "+":
+                    live.add((ev.u, ev.v))
+                else:
+                    live.discard((ev.u, ev.v))
+                _check_sample(sample, live)
+            assert sample.level >= 1  # every stream outgrows every capacity here
+            assert sample.repairs > 0
+
+
+def test_edge_sample_inclusion_frequency_is_the_common_rate():
+    import random
+    import statistics
+
+    from arbormatch import generate_dynamic_stream
+    from arbormatch.estimators import _EdgeSample
+
+    g = generate_union_of_forests(200, 2, seed=3)
+    st = generate_dynamic_stream(g, 0.5, seed=4)
+    runs = 300
+    counts = dict.fromkeys(g.edges, 0)  # the live edges at the end
+    rates = []
+    for seed in range(runs):
+        sample = _EdgeSample(60, salt=random.Random(seed).getrandbits(64))
+        for ev in st.events:
+            sample.apply(ev)
+        rates.append(2.0 ** -sample.level)
+        for e in sample.edges():
+            counts[e] += 1  # KeyError if a deleted edge stayed in the sample
+    rate = statistics.fmean(rates)
+    assert 0.05 < rate < 0.5  # the level rose
+    se = math.sqrt(rate * (1.0 - rate) / runs)
+    for e, k in counts.items():
+        assert abs(k / runs - rate) <= 5 * se, (e, k / runs, rate)
+
+
+def test_dynamic_sample_honours_capacity_override():
+    from arbormatch import generate_dynamic_stream
+
+    g = generate_union_of_forests(300, 1, seed=7000)
+    st = generate_dynamic_stream(g, 0.5, seed=1)
+    est = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0)
+    # level 0 keeps every live edge, so the sample ends as the final graph
+    assert est.params["capacity"] == 4 * est.params["t"] ** 2
+    assert (est.params["sample_level"], est.params["sample_size"]) == (0, g.m)
+    est = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0, capacity_override=50)
+    assert est.params["capacity"] == 50
+    assert est.params["sample_level"] >= 1
+    assert 0 < est.params["sample_size"] <= 50
+    assert est.params["repairs"] > 0
+    with pytest.raises(ConfigError):
+        dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0, capacity_override=0)
+
+
+def test_dynamic_sampled_regime_lands_in_the_c10_window():
+    from arbormatch import forest_matching_size, generate_dynamic_stream
+
+    mu, c, epsilon = 3, 1, 0.5
+    beta = mu * (2.0 * mu / (mu - 2 * c + 1) + 1.0)
+    runs = hits = 0
+    for i in range(20):
+        g = generate_union_of_forests(100, c, seed=7000 + i)
+        m_star = forest_matching_size(g)
+        st = generate_dynamic_stream(g, 0.3 if i % 2 == 0 else 0.5, seed=i)
+        for seed in range(5):
+            est = dynamic_estimate(
+                st, c=c, mu=mu, epsilon=epsilon, seed=seed, capacity_override=40
+            )
+            assert est.params["sample_level"] >= 1
+            assert est.params["branch"] == "greedy"  # the sample's matching decides
+            runs += 1
+            if (1 - epsilon) * m_star <= est.value <= (1 + epsilon) * beta * m_star:
+                hits += 1
+    assert hits / runs >= 0.8, f"{hits}/{runs}"
