@@ -31,9 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, ConfigError
+from .errors import BudgetExceeded, ConfigError, HasDeletions
 from .graphs import Edge
-from .streams import INSERT
+from .streams import DELETE, INSERT
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -208,9 +208,10 @@ def alg1_estimate(stream: "EdgeStream", params: Alg1Params, seed: int) -> Estima
 
     Returns s = (|S_1| + |S_2|) / p; an empty sample simply yields 0.
     """
-    edges = stream.insert_edges()
     state = Alg1State(stream.n, params, seed)
-    for u, v in edges:
+    for kind, u, v in stream.events:
+        if kind == DELETE:
+            raise HasDeletions("stream contains delete events")
         state.apply_insert(u, v)
     return Estimate(
         value=state.estimate(),
@@ -241,7 +242,6 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
     otherwise the degree-sampling estimate (run at p = min(1, 8/(lam^2 t)))
     is returned.
     """
-    edges = stream.insert_edges()
     n = stream.n
     probe = Alg1Params(mu=mu, p=1.0, c=c, epsilon=epsilon)  # validates mu/c/epsilon
     beta = probe.beta
@@ -252,7 +252,9 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
     state = Alg1State(n, params, seed)
     matched: set[int] = set()
     r = 0
-    for u, v in edges:
+    for kind, u, v in stream.events:
+        if kind == DELETE:
+            raise HasDeletions("stream contains delete events")
         if r < t and u not in matched and v not in matched:
             matched.add(u)
             matched.add(v)
@@ -371,7 +373,6 @@ def alg4_estimate_e_alpha(
     trace records per-level started/surviving positions and size high-marks.
     """
     check_survivor_params(alpha, c, epsilon)
-    edges = stream.insert_edges()
     n = stream.n
     num_levels = alg4_num_levels(n, c, epsilon)
     tau = alg4_level_cap(n, alpha, c, epsilon) if tau_override is None else tau_override
@@ -389,8 +390,9 @@ def alg4_estimate_e_alpha(
     peak = 0
     all_tests: list[tuple[_LiveTest, int]] = []  # (test, floor when it started)
 
-    for pos in range(1, len(edges) + 1):
-        u, v = edges[pos - 1]
+    for pos, (kind, u, v) in enumerate(stream.events, 1):
+        if kind == DELETE:
+            raise HasDeletions("stream contains delete events")
         # feed existing tests before this event's own sampling decision
         for x in (u, v):
             tests = by_vertex.get(x)

@@ -8,7 +8,6 @@ each other in the test suite.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import (
     DuplicateEdge,
     GraphError,
+    HasDeletions,
     ParseError,
     SelfLoop,
     TooLarge,
@@ -343,27 +343,42 @@ def degeneracy(g: Graph) -> int:
 
     Upper-bounds the arboricity within a factor of two, which makes it a
     checkable proxy for the declared bound carried by generated graphs.
+
+    Bucket-queue peel in O(n + m) (Matula & Beck, JACM 1983): bucket d lists
+    vertices whose degree was d when they were filed, and an entry whose
+    vertex has since lost degree is skipped. Removing a vertex of degree k
+    leaves every remaining degree at least k - 1, so the scan steps back one
+    bucket after each removal.
     """
     n = g.n
     if n == 0 or not g.edges:
         return 0
     adj = g.adjacency()
     deg = list(g.degrees)
-    heap: list[tuple[int, int]] = [(deg[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    best = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
+    buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+    for v in range(n):
+        buckets[deg[v]].append(v)
+    best = k = 0
+    left = n
+    while left:
+        bucket = buckets[k]
+        if not bucket:
+            k += 1
             continue
-        removed[v] = True
-        if d > best:
-            best = d
+        v = bucket.pop()
+        if deg[v] != k:
+            continue  # stale entry
+        deg[v] = -1  # removed; a live neighbour of v still has degree >= 1
+        left -= 1
+        if k > best:
+            best = k
         for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+            d = deg[w]
+            if d > 0:
+                deg[w] = d - 1
+                buckets[d - 1].append(w)
+        if k:
+            k -= 1
     return best
 
 
@@ -420,13 +435,18 @@ def later_degree_profile(stream: "EdgeStream") -> list[int]:
     """Per stream position, the larger endpoint count of strictly later incident edges.
 
     Entry i-1 (0-based) belongs to the 1-indexed position i. A single backward
-    pass keeps running incidence counts, so the profile costs O(m).
+    pass keeps running incidence counts, so the profile costs O(m). Raises
+    HasDeletions on streams with delete events.
     """
-    edges = stream.insert_edges()
+    from .streams import DELETE
+
+    events = stream.events
     later: dict[int, int] = {}
-    out = [0] * len(edges)
-    for i in range(len(edges) - 1, -1, -1):
-        u, v = edges[i]
+    out = [0] * len(events)
+    for i in range(len(events) - 1, -1, -1):
+        kind, u, v = events[i]
+        if kind == DELETE:
+            raise HasDeletions("stream contains delete events")
         out[i] = max(later.get(u, 0), later.get(v, 0))
         later[u] = later.get(u, 0) + 1
         later[v] = later.get(v, 0) + 1
@@ -442,10 +462,15 @@ def offline_alpha_good_set(stream: "EdgeStream", alpha: float) -> set[int]:
 
 def greedy_maximal_matching(stream: "EdgeStream") -> int:
     """Size of the maximal matching built by admitting each edge whose
-    endpoints are both still unmatched, in stream order."""
+    endpoints are both still unmatched, in stream order. Raises HasDeletions
+    on streams with delete events."""
+    from .streams import DELETE
+
     taken: set[int] = set()
     size = 0
-    for u, v in stream.insert_edges():
+    for kind, u, v in stream.events:
+        if kind == DELETE:
+            raise HasDeletions("stream contains delete events")
         if u not in taken and v not in taken:
             taken.add(u)
             taken.add(v)

@@ -163,32 +163,6 @@ def order_stream(g: Graph, policy: OrderingPolicy | str, seed: int = 0) -> EdgeS
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def generate_union_of_forests(n: int, c: int, seed: int) -> Graph:
     """Union of c random spanning forests of the complete graph on n vertices.
 
@@ -196,28 +170,52 @@ def generate_union_of_forests(n: int, c: int, seed: int) -> Graph:
     matches the acceptance distribution of scanning a shuffled list of all
     pairs without materializing the O(n^2) pair list. Edges duplicated across
     forests are skipped, so the arboricity is at most c by construction.
+
+    A pair is ``u = rng.randrange(n)``, then ``v = rng.randrange(n - 1)``
+    shifted past u, drawn from ``random.Random(seed)``. Each draw is made
+    the way CPython's ``Random._randbelow`` serves ``randrange(k)``:
+    ``getrandbits(k.bit_length())`` until the value is below k. So the graph
+    is the same one a ``randrange`` loop builds, with both bit lengths
+    computed once. A pair is accepted when its endpoints have different roots
+    in a path-halving union-find; which root becomes the parent does not
+    change which later pairs are accepted.
     """
     if n < 2:
         raise GraphError(f"n must be >= 2, got {n}")
     if c < 1:
         raise GraphError(f"c must be >= 1, got {c}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    last = n - 1
+    bits_u = n.bit_length()
+    bits_v = last.bit_length()
     seen: set[Edge] = set()
     edges: list[Edge] = []
     for _ in range(c):
-        uf = _UnionFind(n)
+        parent = list(range(n))
         accepted = 0
-        while accepted < n - 1:
-            u = rng.randrange(n)
-            v = rng.randrange(n - 1)
+        while accepted < last:
+            u = getrandbits(bits_u)
+            while u >= n:
+                u = getrandbits(bits_u)
+            v = getrandbits(bits_v)
+            while v >= last:
+                v = getrandbits(bits_v)
             if v >= u:
                 v += 1
-            if uf.union(u, v):
-                accepted += 1
-                e = (u, v) if u < v else (v, u)
-                if e not in seen:
-                    seen.add(e)
-                    edges.append(e)
+            a = u
+            while parent[a] != a:  # path halving: a jumps to its grandparent
+                parent[a] = a = parent[parent[a]]
+            b = v
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                continue
+            parent[a] = b
+            accepted += 1
+            e = (u, v) if u < v else (v, u)
+            if e not in seen:
+                seen.add(e)
+                edges.append(e)
     return build_graph(n, edges, c_declared=c)
 
 

@@ -78,6 +78,62 @@ def naive_alpha_positions(edges: list[tuple[int, int]], alpha: float) -> set[int
     return out
 
 
+def reference_union_of_forests(n: int, c: int, seed: int) -> Graph:
+    """Reference for generate_union_of_forests: the same draw written with
+    ``rng.randrange`` and a union-find by rank. Both must build one graph."""
+    rng = random.Random(seed)
+    seen: set[tuple[int, int]] = set()
+    edges = []
+    for _ in range(c):
+        parent = list(range(n))
+        rank = [0] * n
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        accepted = 0
+        while accepted < n - 1:
+            u = rng.randrange(n)
+            v = rng.randrange(n - 1)
+            if v >= u:
+                v += 1
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            if rank[ru] < rank[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            if rank[ru] == rank[rv]:
+                rank[ru] += 1
+            accepted += 1
+            e = (u, v) if u < v else (v, u)
+            if e not in seen:
+                seen.add(e)
+                edges.append(e)
+    return build_graph(n, edges, c_declared=c)
+
+
+def naive_degeneracy(g: Graph) -> int:
+    """Quadratic reference for the degeneracy: repeatedly remove a vertex of
+    minimum remaining degree, found by scanning every remaining vertex."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    alive = set(range(g.n))
+    best = 0
+    while alive:
+        v = min(alive, key=lambda x: len(nbrs[x]))
+        best = max(best, len(nbrs[v]))
+        for w in nbrs[v]:
+            nbrs[w].discard(v)
+        alive.remove(v)
+    return best
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA5B)

@@ -20,6 +20,7 @@ from arbormatch import (
     alg4_estimate_e_alpha,
     brute_force_matching_size,
     characterize,
+    degeneracy,
     delete_event,
     dynamic_estimate,
     estimate_matching_logspace,
@@ -38,7 +39,7 @@ from arbormatch.estimators import alg2_greedy_cutoff, dynamic_greedy_cutoff
 from arbormatch.harness import lemma_alpha_threshold
 from arbormatch.streams import EdgeStream
 
-from conftest import path_graph, petersen, random_graph, star_graph
+from conftest import naive_degeneracy, path_graph, petersen, random_graph, star_graph
 
 CORPUS_SIZE = 1000
 CORPUS_MASTER_SEED = 20250810
@@ -60,6 +61,11 @@ def corpus():
         g = generate_union_of_forests(n, c, seed=rng.randrange(2**32))
         out.append((g, maximum_matching_size(g)))
     return out
+
+
+def test_corpus_degeneracy_matches_naive_peel(corpus):
+    for g, _ in corpus:
+        assert degeneracy(g) == naive_degeneracy(g)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from arbormatch.streams import EdgeStream, StreamEvent
 
 from conftest import (
     naive_alpha_positions,
+    naive_degeneracy,
     path_graph,
     petersen,
     random_graph,
@@ -247,6 +248,18 @@ def test_degeneracy_examples():
     k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     assert degeneracy(k5) == 4
     assert degeneracy(build_graph(3, [])) == 0
+
+
+def test_degeneracy_matches_naive_peel(rng):
+    triangle_and_isolated = build_graph(9, [(2, 5), (5, 7), (2, 7), (7, 8)])
+    cases = [build_graph(0, []), build_graph(1, []), build_graph(6, []), triangle_and_isolated]
+    cases += [build_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)]) for k in range(1, 9)]
+    cases += [star_graph(s) for s in range(1, 9)] + [path_graph(n) for n in range(1, 9)]
+    cases += [petersen()]
+    cases += [random_graph(rng, rng.randint(0, 30)) for _ in range(200)]
+    cases += [generate_union_of_forests(rng.randint(2, 80), c, seed) for c in (1, 2, 3) for seed in range(10)]
+    for g in cases:
+        assert degeneracy(g) == naive_degeneracy(g), g
 
 
 def test_degeneracy_bounds_declared_arboricity(rng):

@@ -24,7 +24,7 @@ from arbormatch import (
 from arbormatch.graphs import Graph
 from arbormatch.streams import OrderingPolicy
 
-from conftest import random_graph
+from conftest import random_graph, reference_union_of_forests
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,15 @@ def test_union_of_forests_deterministic():
     b = generate_union_of_forests(40, 2, seed=11)
     assert a == b
     assert a != generate_union_of_forests(40, 2, seed=12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 255, 256, 257, 4095, 4096, 4097])
+def test_union_of_forests_matches_randrange_reference(n):
+    # n and n - 1 on both sides of a bit-length boundary: the draw's
+    # rejection bound and bit count change there
+    for c in (1, 2, 3):
+        for seed in (0, 1, 99):
+            assert generate_union_of_forests(n, c, seed) == reference_union_of_forests(n, c, seed)
 
 
 def test_union_of_forests_validates_arguments():
