@@ -14,7 +14,6 @@ from .errors import BudgetExceeded, ConfigError, ParseError
 from .estimators import check_alpha
 from .graphs import (
     characterize,
-    degeneracy,
     offline_alpha_good_set,
     parse_graph,
     serialize_graph,
@@ -62,7 +61,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     payload = {
         "n": g.n,
         "m": g.m,
-        "degeneracy": degeneracy(g),
+        "degeneracy": g.degeneracy,
         "mu": report.mu,
         "m_star": report.m_star,
         "h_mu": report.h_mu,

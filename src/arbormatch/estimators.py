@@ -26,6 +26,7 @@ edge = 1 item, one counter = 1 item, one live survival test = 3 items.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .graphs import Edge
 from .streams import DELETE, INSERT
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Callable, Iterable
 
     from .streams import EdgeStream, StreamEvent
 
@@ -46,8 +47,10 @@ class Estimate:
     """Result of one estimator run.
 
     ``value`` is None when the run failed (failure is a value, not an error;
-    callers decide whether to retry with a fresh seed). ``params`` echoes the
-    effective parameters plus per-run diagnostics.
+    callers decide whether to retry with a fresh seed). ``params`` is the
+    per-run record: the effective parameters plus per-run diagnostics (the
+    README lists its keys per estimator); ``trace`` is filled only by alg4's
+    ``collect_trace`` hook.
     """
 
     value: float | int | None
@@ -116,7 +119,6 @@ class Alg1State:
     """
 
     def __init__(self, n: int, params: Alg1Params, seed: int):
-        self.n = n
         self.params = params
         if params.p >= 1.0:
             sampled = set(range(n))
@@ -133,12 +135,6 @@ class Alg1State:
     def items(self) -> int:
         """Current stored items: |H| edges plus one counter per S and Gamma(S)\\S vertex."""
         return len(self.stored) + len(self.deg) + len(self.lower)
-
-    @property
-    def space_peak(self) -> int:
-        """Peak item count of an insert-only run, where items only grow, so the
-        peak is the current count; delete-aware callers track their own peak."""
-        return self.items()
 
     def apply(self, ev: "StreamEvent") -> None:
         if ev.kind == INSERT:
@@ -206,7 +202,8 @@ class Alg1State:
 def alg1_estimate(stream: "EdgeStream", params: Alg1Params, seed: int) -> Estimate:
     """Run the degree-sampling estimator over an insert-only stream.
 
-    Returns s = (|S_1| + |S_2|) / p; an empty sample simply yields 0.
+    Returns s = (|S_1| + |S_2|) / p; an empty sample simply yields 0. Items
+    only grow on inserts, so the final count is the peak.
     """
     state = Alg1State(stream.n, params, seed)
     for kind, u, v in stream.events:
@@ -215,7 +212,7 @@ def alg1_estimate(stream: "EdgeStream", params: Alg1Params, seed: int) -> Estima
         state.apply_insert(u, v)
     return Estimate(
         value=state.estimate(),
-        space_peak=state.space_peak,
+        space_peak=state.items(),
         seed=seed,
         params={
             "algorithm": "alg1",
@@ -234,6 +231,44 @@ def alg2_greedy_cutoff(n: int, c: int, epsilon: float, beta: float) -> int:
     return math.ceil(beta * math.sqrt(8.0 * n * c) / epsilon)
 
 
+def _cutoff_and_sampler(
+    n: int, c: int, mu: int, epsilon: float, cutoff: Callable[[int, int, float, float], int]
+) -> tuple[int, Alg1Params]:
+    """The greedy cutoff t = cutoff(n, c, epsilon, beta) and the degree
+    sampler's parameters at p = min(1, 8/(lam^2 t)); validates mu/c/epsilon."""
+    probe = Alg1Params(mu=mu, p=1.0, c=c, epsilon=epsilon)
+    t = cutoff(n, c, epsilon, probe.beta)
+    p = min(1.0, 8.0 / (probe.lam * probe.lam * t))
+    return t, Alg1Params(mu=mu, p=p, c=c, epsilon=epsilon)
+
+
+def _composite(
+    algorithm: str, params: Alg1Params, t: int, r: int,
+    sampler_estimate: Callable[[], float], space_peak: int, seed: int, **extra,
+) -> Estimate:
+    """alg2's post-processing, shared with the insert/delete variant: twice the
+    greedy matching size r while it stays below t, else ``sampler_estimate()``.
+    ``extra`` appends the caller's own ``params`` keys."""
+    value, branch = (2 * r, "greedy") if r < t else (sampler_estimate(), "alg1")
+    return Estimate(
+        value=value,
+        space_peak=space_peak,
+        seed=seed,
+        params={
+            "algorithm": algorithm,
+            "mu": params.mu,
+            "c": params.c,
+            "epsilon": params.epsilon,
+            "beta": params.beta,
+            "t": t,
+            "p": params.p,
+            "greedy_r": r,
+            "branch": branch,
+            **extra,
+        },
+    )
+
+
 def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: int) -> Estimate:
     """One-pass composite: truncated greedy matching next to the degree sampler.
 
@@ -242,14 +277,8 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
     otherwise the degree-sampling estimate (run at p = min(1, 8/(lam^2 t)))
     is returned.
     """
-    n = stream.n
-    probe = Alg1Params(mu=mu, p=1.0, c=c, epsilon=epsilon)  # validates mu/c/epsilon
-    beta = probe.beta
-    lam = probe.lam
-    t = alg2_greedy_cutoff(n, c, epsilon, beta)
-    p = min(1.0, 8.0 / (lam * lam * t))
-    params = Alg1Params(mu=mu, p=p, c=c, epsilon=epsilon)
-    state = Alg1State(n, params, seed)
+    t, params = _cutoff_and_sampler(stream.n, c, mu, epsilon, alg2_greedy_cutoff)
+    state = Alg1State(stream.n, params, seed)
     matched: set[int] = set()
     r = 0
     for kind, u, v in stream.events:
@@ -260,49 +289,13 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
             matched.add(v)
             r += 1
         state.apply_insert(u, v)
-    if r < t:
-        value: float | int = 2 * r
-        branch = "greedy"
-    else:
-        value = state.estimate()
-        branch = "alg1"
-    return Estimate(
-        value=value,
-        space_peak=state.space_peak + r,  # both only grow on inserts
-        seed=seed,
-        params={
-            "algorithm": "alg2",
-            "mu": mu,
-            "c": c,
-            "epsilon": epsilon,
-            "beta": beta,
-            "t": t,
-            "p": p,
-            "greedy_r": r,
-            "branch": branch,
-        },
-    )
+    # both sides only grow on inserts, so the final count is the peak
+    return _composite("alg2", params, t, r, state.estimate, state.items() + r, seed)
 
 
 # ---------------------------------------------------------------------------
 # Survival test (alg3) and level-sampled survivor counting (alg4)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelState:
-    """End-of-run snapshot of one sampling level.
-
-    ``live_tests`` is the size of the level's surviving test set (zero once
-    terminated, since a terminated level discards its tests); ``terminated``
-    latches at the first event that pushed the set past ``cap``.
-    """
-
-    index: int
-    probability: float
-    live_tests: int
-    cap: float
-    terminated: bool
 
 
 class _LiveTest:
@@ -365,12 +358,15 @@ def alg4_estimate_e_alpha(
     (level i holds at least as many live tests as level i+1), so levels are
     terminated from the bottom up: the floor rises past every level whose
     live-test count exceeds tau, and an edge whose L is below the floor gets
-    no test. Post-processing returns |X_0| exactly when level 0 survived,
-    otherwise |X_j|/p_j for the smallest live level under tau'*(1+eps), or a
-    failed Estimate when no level qualifies.
+    no test. One count per top level carries all of it: level i's count is
+    the sum of the counts at tops i and above (Gibbons, VLDB 2001).
+    Post-processing returns |X_0| exactly when level 0 survived, otherwise
+    |X_j|/p_j for the smallest live level under tau'*(1+eps), or a failed
+    Estimate when no level qualifies.
 
     ``tau_override`` (e.g. math.inf) and ``collect_trace`` are test hooks: the
-    trace records per-level started/surviving positions and size high-marks.
+    trace holds per-level ``started`` and ``survivors`` positions, ``max_live``
+    high-marks and ``terminated`` flags.
     """
     check_survivor_params(alpha, c, epsilon)
     n = stream.n
@@ -382,79 +378,86 @@ def alg4_estimate_e_alpha(
     top_level = num_levels - 1
 
     rng = random.Random(seed)
-    probs = [growth ** (-i) for i in range(num_levels)]
-    live_count = [0] * num_levels
-    max_live = [0] * num_levels
+    at_top = [0] * num_levels  # live tests per top level
+    live = 0  # live tests at the floor: those whose top is at or above it
     floor = 0  # levels below the floor are terminated
     by_vertex: dict[int, list[_LiveTest]] = {}
     peak = 0
     all_tests: list[tuple[_LiveTest, int]] = []  # (test, floor when it started)
+    max_live = [0] * num_levels  # filled only for the trace
 
-    for pos, (kind, u, v) in enumerate(stream.events, 1):
-        if kind == DELETE:
-            raise HasDeletions("stream contains delete events")
-        # feed existing tests before this event's own sampling decision
-        for x in (u, v):
-            tests = by_vertex.get(x)
-            if not tests:
-                continue
-            keep = 0
-            for tst in tests:
-                if not tst.alive or tst.top < floor:
-                    continue  # stale entry, drop it
-                if x == tst.u:
-                    tst.r_u += 1
-                    failed_now = tst.r_u > alpha
-                else:
-                    tst.r_v += 1
-                    failed_now = tst.r_v > alpha
-                if failed_now:
-                    tst.alive = False
-                    for i in range(floor, tst.top + 1):
-                        live_count[i] -= 1
+    # The loop makes up to one test object per edge and no reference cycles, so
+    # the cyclic collector has nothing to free in it. Left on, its passes take
+    # about a quarter of a call on 100k edges, at points set by allocation counts.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for pos, (kind, u, v) in enumerate(stream.events, 1):
+            if kind == DELETE:
+                raise HasDeletions("stream contains delete events")
+            # feed existing tests before this event's own sampling decision
+            for x in (u, v):
+                tests = by_vertex.get(x)
+                if not tests:
                     continue
-                tests[keep] = tst
-                keep += 1
-            del tests[keep:]
-            if not tests:
-                del by_vertex[x]
-        top = min(int(-math.log(1.0 - rng.random()) / log_growth), top_level)
-        if top >= floor:
-            tst = _LiveTest(u, v, top, pos)
-            by_vertex.setdefault(u, []).append(tst)
-            by_vertex.setdefault(v, []).append(tst)
-            if collect_trace:
-                all_tests.append((tst, floor))
-            for i in range(floor, top + 1):
-                live_count[i] += 1
-                if live_count[i] > max_live[i]:
-                    max_live[i] = live_count[i]
-            while floor < num_levels and live_count[floor] > tau:
-                floor += 1
-            # every live test counts toward the floor level, at 3 items each
-            if floor < num_levels and 3 * live_count[floor] > peak:
-                peak = 3 * live_count[floor]
+                keep = 0
+                for tst in tests:
+                    if not tst.alive or tst.top < floor:
+                        continue  # stale entry, drop it
+                    if x == tst.u:
+                        tst.r_u += 1
+                        failed_now = tst.r_u > alpha
+                    else:
+                        tst.r_v += 1
+                        failed_now = tst.r_v > alpha
+                    if failed_now:
+                        tst.alive = False
+                        at_top[tst.top] -= 1
+                        live -= 1
+                        continue
+                    tests[keep] = tst
+                    keep += 1
+                del tests[keep:]
+                if not tests:
+                    del by_vertex[x]
+            top = min(int(-math.log(1.0 - rng.random()) / log_growth), top_level)
+            if top >= floor:
+                tst = _LiveTest(u, v, top, pos)
+                by_vertex.setdefault(u, []).append(tst)
+                by_vertex.setdefault(v, []).append(tst)
+                at_top[top] += 1
+                live += 1
+                if collect_trace:
+                    all_tests.append((tst, floor))
+                    count = 0
+                    for i in range(top_level, floor - 1, -1):
+                        count += at_top[i]
+                        if count > max_live[i]:
+                            max_live[i] = count
+                while floor < num_levels and live > tau:
+                    live -= at_top[floor]
+                    floor += 1
+                # every live test counts toward the floor level, at 3 items each
+                if 3 * live > peak:
+                    peak = 3 * live
+    finally:
+        if collecting:
+            gc.enable()
 
-    value: float | int | None
-    failed = False
+    # level 0 is exact while it lives; else walk up to the first level under tau'*(1+eps)
+    threshold = math.inf if floor == 0 else tau_prime * (1.0 + epsilon)
+    value: float | int | None = None
     selected: int | None = None
-    if floor == 0:
-        value = live_count[0]
-        selected = 0
-    else:
-        threshold = tau_prime * (1.0 + epsilon)
-        value = None
-        for i in range(floor, num_levels):
-            if live_count[i] <= threshold:
-                selected = i
-                value = live_count[i] / probs[i]
-                break
-        if selected is None:
-            failed = True
+    count = live
+    for i in range(floor, num_levels):
+        if count <= threshold:
+            selected = i
+            value = count / growth ** (-i) if i else count
+            break
+        count -= at_top[i]
 
     trace = None
     if collect_trace:
-        terminated = [i < floor for i in range(num_levels)]
         started: dict[int, list[int]] = {i: [] for i in range(num_levels)}
         survivors: dict[int, list[int]] = {i: [] for i in range(num_levels)}
         for tst, low in all_tests:
@@ -466,19 +469,8 @@ def alg4_estimate_e_alpha(
         trace = {
             "started": started,
             "survivors": survivors,
-            "max_live": list(max_live),
-            "final_live": list(live_count),
-            "terminated": terminated,
-            "levels": tuple(
-                LevelState(
-                    index=i,
-                    probability=probs[i],
-                    live_tests=0 if terminated[i] else live_count[i],
-                    cap=tau,
-                    terminated=terminated[i],
-                )
-                for i in range(num_levels)
-            ),
+            "max_live": max_live,
+            "terminated": [i < floor for i in range(num_levels)],
         }
     return Estimate(
         value=value,
@@ -494,7 +486,7 @@ def alg4_estimate_e_alpha(
             "num_levels": num_levels,
             "selected_level": selected,
         },
-        failed=failed,
+        failed=selected is None,
         trace=trace,
     )
 
@@ -666,18 +658,14 @@ def dynamic_estimate(
         raise BudgetExceeded(
             f"stream of {len(stream.events)} events exceeds the budget {budget}"
         )
-    probe = Alg1Params(mu=mu, p=1.0, c=c, epsilon=epsilon)
-    beta = probe.beta
-    lam = probe.lam
-    t = dynamic_greedy_cutoff(n, c, epsilon, beta)
-    p = min(1.0, 8.0 / (lam * lam * t))
+    t, params = _cutoff_and_sampler(n, c, mu, epsilon, dynamic_greedy_cutoff)
     capacity = 4 * t * t if capacity_override is None else capacity_override
     if capacity < 1:
         raise ConfigError(f"the edge sample needs capacity >= 1, got {capacity}")
     master = random.Random(seed)
     sampler_seed = master.getrandbits(64)
     salt = master.getrandbits(64)
-    state = Alg1State(n, Alg1Params(mu=mu, p=p, c=c, epsilon=epsilon), sampler_seed)
+    state = Alg1State(n, params, sampler_seed)
     sample = _EdgeSample(capacity, salt)
     peak = state.items()
     for ev in stream.events:
@@ -686,33 +674,13 @@ def dynamic_estimate(
         items = state.items() + sample.size
         if items > peak:
             peak = items
-    r = len(sample.mate) // 2
     s = state.estimate()
-    if r < t:
-        value: float | int = 2 * r
-        branch = "greedy"
-    else:
-        value = s
-        branch = "alg1"
-    return Estimate(
-        value=value,
-        space_peak=peak,
-        seed=seed,
-        params={
-            "algorithm": "dynamic",
-            "mu": mu,
-            "c": c,
-            "epsilon": epsilon,
-            "beta": beta,
-            "t": t,
-            "p": p,
-            "capacity": capacity,
-            "greedy_r": r,
-            "alg1_value": s,
-            "branch": branch,
-            "sample_level": sample.level,
-            "sample_size": sample.size,
-            "repairs": sample.repairs,
-            "matching_substitute": "hash-level-edge-sample+local-repair",
-        },
+    return _composite(
+        "dynamic", params, t, len(sample.mate) // 2, lambda: s, peak, seed,
+        capacity=capacity,
+        alg1_value=s,
+        sample_level=sample.level,
+        sample_size=sample.size,
+        repairs=sample.repairs,
+        matching_substitute="hash-level-edge-sample+local-repair",
     )

@@ -57,6 +57,11 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
+    @cached_property
+    def degeneracy(self) -> int:
+        """The module-level ``degeneracy`` of this graph, computed once."""
+        return degeneracy(self)
+
     def adjacency(self) -> list[list[int]]:
         """Adjacency lists, neighbor order following edge construction order."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -91,10 +96,9 @@ def build_graph(n: int, edge_list: Iterable[Edge], c_declared: int | None = None
     if c_declared is not None:
         if c_declared < 1:
             raise GraphError(f"c_declared must be a positive integer, got {c_declared}")
-        d = degeneracy(g)
-        if d > 2 * c_declared:
+        if g.degeneracy > 2 * c_declared:
             raise GraphError(
-                f"degeneracy {d} exceeds 2*c_declared = {2 * c_declared}; "
+                f"degeneracy {g.degeneracy} exceeds 2*c_declared = {2 * c_declared}; "
                 "the declared arboricity bound cannot hold"
             )
     return g

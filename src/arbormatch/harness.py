@@ -29,7 +29,6 @@ from .estimators import (
 from .graphs import (
     Graph,
     characterize,
-    degeneracy,
     later_degree_profile,
     maximum_matching_size,
 )
@@ -461,7 +460,7 @@ def check_lemmas(g: Graph, orderings: int, mu: int, seed: int) -> LemmaReport:
         raise ConfigError(f"orderings must be >= 1, got {orderings}")
     report = characterize(g, mu)
     alpha = lemma_alpha_threshold(c, mu)
-    is_forest = degeneracy(g) <= 1
+    is_forest = g.degeneracy <= 1
     checks = degree_threshold_checks(c, mu, report.m_star, report.h_mu, report.m_mu)
     for j in range(orderings):
         stream = order_stream(g, OrderingPolicy.UNIFORM_RANDOM, seed + j)

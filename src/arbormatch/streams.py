@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     StreamInvariantError,
 )
-from .graphs import Edge, Graph, _parse_header, build_graph, degeneracy
+from .graphs import Edge, Graph, _parse_header, build_graph
 
 INSERT = "+"
 DELETE = "-"
@@ -287,10 +287,9 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     """
     if not 0.0 <= delete_fraction <= 1.0:
         raise GraphError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
-    d = degeneracy(g)
-    eff_c = g.c_declared if g.c_declared is not None else max(1, d)
+    eff_c = g.c_declared if g.c_declared is not None else max(1, g.degeneracy)
     cap = 2 * eff_c
-    if d > cap:
+    if g.degeneracy > cap:
         raise GraphError("graph degeneracy already exceeds twice the arboricity bound")
     m = g.m
     budget = 4 * eff_c * g.n

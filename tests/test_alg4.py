@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -68,6 +69,34 @@ def test_validation():
         alg4_estimate_e_alpha(bad, alpha=1, c=1, epsilon=0.5, seed=0)
 
 
+def test_cyclic_collector_is_paused_in_the_loop_and_left_as_found():
+    st = order_stream(generate_union_of_forests(3000, 1, seed=0), "uniform-random", 0)
+    bad = EdgeStream(n=2, events=(insert_event(0, 1), delete_event(0, 1)))
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            gc.collect()  # zeroes the allocation counts, so no pass is due at the call
+            passes.clear()
+            alg4_estimate_e_alpha(st, alpha=6, c=1, epsilon=0.5, seed=0)
+            # thousands of test objects, and at most the one pass due on resuming
+            assert len(passes) <= (1 if enabled else 0)
+            assert gc.isenabled() is enabled
+            with pytest.raises(HasDeletions):
+                alg4_estimate_e_alpha(bad, alpha=1, c=1, epsilon=0.5, seed=0)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_empty_stream_is_zero():
     st = EdgeStream(n=4, events=())
     assert alg4_estimate_e_alpha(st, alpha=2, c=1, epsilon=0.5, seed=0).value == 0
@@ -109,14 +138,11 @@ def test_level_size_cap_is_respected():
             assert alive_max <= tau
     levels = est.params["num_levels"]
     assert est.space_peak <= levels * 3 * tau
-    for state in trace["levels"]:
-        assert state.cap == tau
-        assert state.probability == pytest.approx(1.9 ** (-state.index))
-        if state.terminated:
-            assert state.live_tests == 0  # a terminated level discards its tests
+    for level, survivors in trace["survivors"].items():
+        if trace["terminated"][level]:
+            assert survivors == []  # a terminated level discards its tests
         else:
-            assert state.live_tests <= tau
-            assert state.live_tests == len(trace["survivors"][state.index])
+            assert len(survivors) <= tau
 
 
 def test_level_selection_after_level_zero_terminates():
@@ -216,6 +242,22 @@ def test_coupled_levels_nest_and_terminate_from_the_bottom():
                 assert set(trace["survivors"][level + 1]) <= set(trace["survivors"][level])
             # one level's worth of live tests, at 3 items each
             assert est.space_peak <= 3 * est.params["tau"]
+
+
+def test_collect_trace_only_observes():
+    for stream, c, epsilon, tau_override in _coupled_level_workloads():
+        for seed in range(2):
+            plain, traced = (
+                alg4_estimate_e_alpha(
+                    stream, alpha=6 * c, c=c, epsilon=epsilon, seed=seed,
+                    tau_override=tau_override, collect_trace=flag,
+                )
+                for flag in (False, True)
+            )
+            assert plain.trace is None and traced.trace is not None
+            assert (plain.value, plain.space_peak, plain.failed, plain.params) == (
+                traced.value, traced.space_peak, traced.failed, traced.params
+            )
 
 
 def test_sampled_regime_tracks_the_offline_count():

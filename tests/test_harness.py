@@ -214,6 +214,29 @@ def test_dynamic_experiment_smoke():
     assert all(rec.value >= rec.m_star for rec in records)
 
 
+def test_dynamic_trial_computes_degeneracy_once(monkeypatch):
+    # build_graph checks the generated graph and generate_dynamic_stream needs
+    # the same value; count calls wherever a module binds the function
+    from arbormatch import graphs, harness, streams
+
+    calls = []
+    original = graphs.degeneracy
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for module in (graphs, streams, harness):
+        if hasattr(module, "degeneracy"):
+            monkeypatch.setattr(module, "degeneracy", counting)
+    config = ExperimentConfig(
+        generator="union-of-forests", n=200, c=1, estimator="dynamic",
+        mu=3, epsilon=0.5, delete_fraction=0.5, trials=1, seed0=0,
+    )
+    run_experiment(config)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # inequality checks
 # ---------------------------------------------------------------------------
