@@ -27,13 +27,13 @@ def main():
     for policy in OrderingPolicy:
         s = order_stream(g, policy, seed=5)
         survivors = len(offline_alpha_good_set(s, 1))
-        head = ", ".join(f"({ev.u},{ev.v})" for ev in s.events[:4])
+        head = ", ".join(f"({u},{v})" for _, u, v in s.events[:4])
         print(f"  {policy.value:<15} first edges: {head} ...  survivors at threshold 1: {survivors}")
 
     print("\n== dynamic streams replay back to the generating graph ==")
     base = generate_union_of_forests(30, 2, seed=3)
     stream = generate_dynamic_stream(base, delete_fraction=0.5, seed=9)
-    deletes = sum(1 for ev in stream.events if ev.kind == "-")
+    deletes = sum(1 for kind, _, _ in stream.events if kind == "-")
     print(f"  {len(stream.events)} events ({deletes} deletes), final graph matches: "
           f"{stream.live_edges() == set(base.edges)}")
 

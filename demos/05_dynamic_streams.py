@@ -27,7 +27,7 @@ def main():
     print("\n== estimates stay in the guaranteed window as churn grows ==")
     for fraction in (0.0, 0.25, 0.5):
         stream = generate_dynamic_stream(g, fraction, seed=8)
-        deletes = sum(1 for ev in stream.events if ev.kind == "-")
+        deletes = sum(1 for kind, _, _ in stream.events if kind == "-")
         values = []
         for seed in range(20):
             est = dynamic_estimate(stream, c=c, mu=mu, epsilon=epsilon, seed=seed)

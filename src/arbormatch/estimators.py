@@ -137,10 +137,11 @@ class Alg1State:
         return len(self.stored) + len(self.deg) + len(self.lower)
 
     def apply(self, ev: "StreamEvent") -> None:
-        if ev.kind == INSERT:
-            self.apply_insert(ev.u, ev.v)
+        kind, u, v = ev
+        if kind == INSERT:
+            self.apply_insert(u, v)
         else:
-            self.apply_delete(ev.u, ev.v)
+            self.apply_delete(u, v)
 
     def apply_insert(self, u: int, v: int) -> None:
         sampled = self.sampled
@@ -298,19 +299,6 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
 # ---------------------------------------------------------------------------
 
 
-class _LiveTest:
-    __slots__ = ("u", "v", "r_u", "r_v", "top", "alive", "pos")
-
-    def __init__(self, u: int, v: int, top: int, pos: int):
-        self.u = u
-        self.v = v
-        self.r_u = 0
-        self.r_v = 0
-        self.top = top
-        self.alive = True
-        self.pos = pos
-
-
 def alg4_num_levels(n: int, c: int, epsilon: float) -> int:
     """Level count: indices 0..floor(log_{1+eps}(c*n)), using m <= c*n."""
     cn = max(c * n, 1)
@@ -377,16 +365,20 @@ def alg4_estimate_e_alpha(
     log_growth = math.log(growth)
     top_level = num_levels - 1
 
-    rng = random.Random(seed)
+    rand = random.Random(seed).random
+    log = math.log
     at_top = [0] * num_levels  # live tests per top level
     live = 0  # live tests at the floor: those whose top is at or above it
     floor = 0  # levels below the floor are terminated
-    by_vertex: dict[int, list[_LiveTest]] = {}
+    # A live test is a list [u, top, r_u, r_v]: the edge's smaller endpoint, its
+    # top level (-1 once failed) and each endpoint's count of later edges.
+    by_vertex: dict[int, list[list[int]]] = {}
+    tests_at = by_vertex.get
     peak = 0
-    all_tests: list[tuple[_LiveTest, int]] = []  # (test, floor when it started)
+    all_tests: list[tuple[list[int], int, int, int]] = []  # (test, top, position, start floor)
     max_live = [0] * num_levels  # filled only for the trace
 
-    # The loop makes up to one test object per edge and no reference cycles, so
+    # The loop makes up to one test list per edge and no reference cycles, so
     # the cyclic collector has nothing to free in it. Left on, its passes take
     # about a quarter of a call on 100k edges, at points set by allocation counts.
     collecting = gc.isenabled()
@@ -397,38 +389,34 @@ def alg4_estimate_e_alpha(
                 raise HasDeletions("stream contains delete events")
             # feed existing tests before this event's own sampling decision
             for x in (u, v):
-                tests = by_vertex.get(x)
+                tests = tests_at(x)
                 if not tests:
                     continue
                 keep = 0
                 for tst in tests:
-                    if not tst.alive or tst.top < floor:
-                        continue  # stale entry, drop it
-                    if x == tst.u:
-                        tst.r_u += 1
-                        failed_now = tst.r_u > alpha
-                    else:
-                        tst.r_v += 1
-                        failed_now = tst.r_v > alpha
-                    if failed_now:
-                        tst.alive = False
-                        at_top[tst.top] -= 1
+                    if tst[1] < floor:
+                        continue  # failed or below the floor: a stale entry, drop it
+                    side = 2 if x == tst[0] else 3
+                    tst[side] += 1
+                    if tst[side] > alpha:
+                        at_top[tst[1]] -= 1
                         live -= 1
+                        tst[1] = -1
                         continue
                     tests[keep] = tst
                     keep += 1
                 del tests[keep:]
                 if not tests:
                     del by_vertex[x]
-            top = min(int(-math.log(1.0 - rng.random()) / log_growth), top_level)
+            top = min(int(-log(1.0 - rand()) / log_growth), top_level)
             if top >= floor:
-                tst = _LiveTest(u, v, top, pos)
+                tst = [u, top, 0, 0]
                 by_vertex.setdefault(u, []).append(tst)
                 by_vertex.setdefault(v, []).append(tst)
                 at_top[top] += 1
                 live += 1
                 if collect_trace:
-                    all_tests.append((tst, floor))
+                    all_tests.append((tst, top, pos, floor))
                     count = 0
                     for i in range(top_level, floor - 1, -1):
                         count += at_top[i]
@@ -460,12 +448,11 @@ def alg4_estimate_e_alpha(
     if collect_trace:
         started: dict[int, list[int]] = {i: [] for i in range(num_levels)}
         survivors: dict[int, list[int]] = {i: [] for i in range(num_levels)}
-        for tst, low in all_tests:
-            for i in range(low, tst.top + 1):
-                started[i].append(tst.pos)
-            if tst.alive:
-                for i in range(floor, tst.top + 1):
-                    survivors[i].append(tst.pos)
+        for tst, top, pos, low in all_tests:
+            for i in range(low, top + 1):
+                started[i].append(pos)
+            for i in range(floor, tst[1] + 1):  # none for a failed test
+                survivors[i].append(pos)
         trace = {
             "started": started,
             "survivors": survivors,
@@ -575,8 +562,8 @@ class _EdgeSample:
         return [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
 
     def apply(self, ev: "StreamEvent") -> None:
-        u, v = ev.u, ev.v
-        if ev.kind == INSERT:
+        kind, u, v = ev
+        if kind == INSERT:
             if self.passes(u, v):
                 self._insert(u, v)
         elif v in self.adj.get(u, ()):

@@ -12,9 +12,10 @@ import heapq
 import random
 import re
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import (
     BudgetExceeded,
@@ -29,10 +30,9 @@ INSERT = "+"
 DELETE = "-"
 
 
-class StreamEvent(NamedTuple):
-    kind: str
-    u: int
-    v: int
+# A stream event is a plain (kind, u, v) tuple with u < v: unlike a tuple subclass, the
+# cyclic collector untracks it on its first pass, so a held stream adds nothing to later ones.
+StreamEvent = tuple[str, int, int]
 
 
 def _normalized(u: int, v: int) -> Edge:
@@ -42,11 +42,11 @@ def _normalized(u: int, v: int) -> Edge:
 
 
 def insert_event(u: int, v: int) -> StreamEvent:
-    return StreamEvent(INSERT, *_normalized(u, v))
+    return (INSERT, *_normalized(u, v))
 
 
 def delete_event(u: int, v: int) -> StreamEvent:
-    return StreamEvent(DELETE, *_normalized(u, v))
+    return (DELETE, *_normalized(u, v))
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,23 @@ class EdgeStream:
     c_declared: int | None = None
 
     def has_deletions(self) -> bool:
-        return any(ev.kind == DELETE for ev in self.events)
+        return any(kind == DELETE for kind, _, _ in self.events)
 
     def insert_edges(self) -> list[Edge]:
         """Edges of an insert-only stream in order; raises HasDeletions otherwise."""
         edges: list[Edge] = []
-        for ev in self.events:
-            if ev.kind == DELETE:
+        for kind, u, v in self.events:
+            if kind == DELETE:
                 raise HasDeletions("stream contains delete events")
-            edges.append((ev.u, ev.v))
+            edges.append((u, v))
         return edges
 
     def live_edges(self) -> set[Edge]:
         """Edge set left after replaying every event."""
         live: set[Edge] = set()
-        for ev in self.events:
-            e = (ev.u, ev.v)
-            if ev.kind == INSERT:
+        for kind, u, v in self.events:
+            e = (u, v)
+            if kind == INSERT:
                 live.add(e)
             else:
                 live.discard(e)
@@ -82,29 +82,29 @@ class EdgeStream:
 
     def validate(self) -> None:
         """Check endpoint ranges and liveness rules; raises StreamInvariantError."""
-        live: set[Edge] = set()
-        for idx, ev in enumerate(self.events, 1):
-            problem = _replay_event(live, ev, self.n)
-            if problem is not None:
-                raise StreamInvariantError(f"event {idx}: {problem}")
+        violation = _first_violation(self.events, self.n)
+        if violation is not None:
+            pos, problem = violation
+            raise StreamInvariantError(f"event {pos}: {problem}")
 
 
-def _replay_event(live: set[Edge], ev: StreamEvent, n: int) -> str | None:
-    """Apply one event to the live edge set, or say why the stream forbids it."""
-    kind, u, v = ev
-    if not 0 <= u < v < n:
-        return f"endpoints ({u}, {v}) must satisfy 0 <= u < v < n={n}"
-    e = (u, v)
-    if kind == INSERT:
-        if e in live:
-            return f"insert of live edge {e}"
-        live.add(e)
-    elif kind == DELETE:
-        if e not in live:
-            return f"delete of non-live edge {e}"
-        live.remove(e)
-    else:
-        return f"unknown kind {kind!r}"
+def _first_violation(events: Iterable[StreamEvent], n: int) -> tuple[int, str] | None:
+    """1-based position of the first event the stream rules forbid and why, or None."""
+    live: set[Edge] = set()
+    for pos, (kind, u, v) in enumerate(events, 1):
+        if not 0 <= u < v < n:
+            return pos, f"endpoints ({u}, {v}) must satisfy 0 <= u < v < n={n}"
+        e = (u, v)
+        if kind == INSERT:
+            if e in live:
+                return pos, f"insert of live edge {e}"
+            live.add(e)
+        elif kind == DELETE:
+            if e not in live:
+                return pos, f"delete of non-live edge {e}"
+            live.remove(e)
+        else:
+            return pos, f"unknown kind {kind!r}"
     return None
 
 
@@ -153,7 +153,7 @@ def order_stream(g: Graph, policy: OrderingPolicy | str, seed: int = 0) -> EdgeS
             edges.sort(key=lambda e: (-min(deg[e[0]], deg[e[1]]), -max(deg[e[0]], deg[e[1]]), e))
     return EdgeStream(
         n=g.n,
-        events=tuple(StreamEvent(INSERT, u, v) for u, v in edges),
+        events=tuple((INSERT, u, v) for u, v in edges),
         c_declared=g.c_declared,
     )
 
@@ -311,13 +311,13 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     def insert(e: Edge) -> None:
         adj[e[0]].add(e[1])
         adj[e[1]].add(e[0])
-        events.append(StreamEvent(INSERT, *e))
+        events.append((INSERT, *e))
 
     def delete_oldest_decoy() -> None:
         u, v = live_decoys.popleft()
         adj[u].remove(v)
         adj[v].remove(u)
-        events.append(StreamEvent(DELETE, u, v))
+        events.append((DELETE, u, v))
 
     def fits(e: Edge) -> bool:
         u, v = e
@@ -391,8 +391,16 @@ def serialize_stream(s: EdgeStream) -> str:
     lines = [f"n {s.n}"]
     if s.c_declared is not None:
         lines.append(f"# arboricity {s.c_declared}")
-    lines.extend(f"{ev.kind} {ev.u} {ev.v}" for ev in s.events)
+    lines.extend(f"{kind} {u} {v}" for kind, u, v in s.events)
     return "\n".join(lines) + "\n"
+
+
+def _record_lines(text: str) -> Iterator[int]:
+    """Numbers of the lines that are neither blank nor comments: the header's, then each event's."""
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            yield line_no
 
 
 def parse_stream(text: str) -> EdgeStream:
@@ -400,34 +408,39 @@ def parse_stream(text: str) -> EdgeStream:
 
     Raises ParseError (with the line number) on malformed lines and on
     liveness violations such as deleting an edge that was never inserted.
+    Liveness is checked in one pass after the lines are read, and a violation
+    on a line before the first malformed one is still the error raised.
     """
     n: int | None = None
     c: int | None = None
     events: list[StreamEvent] = []
-    live: set[Edge] = set()
+    malformed: ParseError | None = None
     for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            found = _ARBORICITY_COMMENT.match(line)
+        if parts[0][0] == "#":
+            found = _ARBORICITY_COMMENT.match(raw.strip())
             if found:
                 c = int(found.group(1))
             continue
-        parts = line.split()
         if n is None:
             n = _parse_header(line_no, parts)
             continue
         if len(parts) != 3 or parts[0] not in (INSERT, DELETE):
-            raise ParseError(line_no, "expected '+ u v' or '- u v'")
+            malformed = ParseError(line_no, "expected '+ u v' or '- u v'")
+            break
         try:
-            ev = StreamEvent(parts[0], int(parts[1]), int(parts[2]))
+            events.append((parts[0], int(parts[1]), int(parts[2])))
         except ValueError:
-            raise ParseError(line_no, "endpoints are not integers") from None
-        problem = _replay_event(live, ev, n)
-        if problem is not None:
-            raise ParseError(line_no, problem)
-        events.append(ev)
+            malformed = ParseError(line_no, "endpoints are not integers")
+            break
     if n is None:
         raise ParseError(1, "missing 'n <count>' header")
+    violation = _first_violation(events, n)
+    if violation is not None:
+        pos, problem = violation
+        raise ParseError(next(islice(_record_lines(text), pos, None)), problem)
+    if malformed is not None:
+        raise malformed
     return EdgeStream(n=n, events=tuple(events), c_declared=c)

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,21 @@ def test_cyclic_collector_is_paused_in_the_loop_and_left_as_found():
     finally:
         gc.callbacks.remove(count)
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_live_tests_cost_at_most_64_bytes_per_space_item():
+    # space accounting is honest: the bytes the call allocates track the items it counts
+    stream = order_stream(generate_union_of_forests(20_000, 2, seed=0), "uniform-random", 0)
+    tracemalloc.start()
+    try:
+        est = alg4_estimate_e_alpha(
+            stream, alpha=12, c=2, epsilon=0.5, seed=0, tau_override=math.inf
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.params["selected_level"] == 0 and est.space_peak > 10_000
+    assert peak <= 64 * est.space_peak
 
 
 def test_empty_stream_is_zero():

@@ -78,6 +78,16 @@ def test_estimate_rejects_nan_alpha(tmp_path, capsys):
     assert "alpha must be >= 1" in captured.err and captured.out == ""
 
 
+def test_estimate_names_the_line_of_a_malformed_stream(tmp_path, capsys):
+    spath = tmp_path / "bad.txt"
+    spath.write_text("n 3\n# a comment\n\n+ 0 1\n- 1 2\n")
+    code = main(["estimate", str(spath), "--algorithm", "logspace", "--c", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 5: delete of non-live edge (1, 2)\n"
+    assert captured.out == ""
+
+
 def test_estimate_over_budget_is_a_usage_error(tmp_path, capsys):
     spath = tmp_path / "dense.txt"
     k10 = [f"+ {u} {v}" for u in range(10) for v in range(u + 1, 10)]

@@ -298,10 +298,11 @@ def test_edge_sample_invariants_hold_at_every_event():
             live = set()
             for ev in st.events:
                 sample.apply(ev)
-                if ev.kind == "+":
-                    live.add((ev.u, ev.v))
+                kind, u, v = ev
+                if kind == "+":
+                    live.add((u, v))
                 else:
-                    live.discard((ev.u, ev.v))
+                    live.discard((u, v))
                 _check_sample(sample, live)
             assert sample.level >= 1  # every stream outgrows every capacity here
             assert sample.repairs > 0

@@ -23,7 +23,7 @@ from arbormatch import (
     parse_graph,
     serialize_graph,
 )
-from arbormatch.streams import EdgeStream, StreamEvent
+from arbormatch.streams import EdgeStream
 
 from conftest import (
     naive_alpha_positions,
@@ -310,7 +310,7 @@ def test_characterize_sanity_invariants(rng):
 
 
 def _insert_stream(n, edges):
-    return EdgeStream(n=n, events=tuple(StreamEvent("+", u, v) for u, v in edges))
+    return EdgeStream(n=n, events=tuple(("+", u, v) for u, v in edges))
 
 
 def test_alpha_good_star_in_order():
@@ -329,7 +329,7 @@ def test_alpha_good_path_in_order():
 
 
 def test_alpha_good_rejects_deletions():
-    s = EdgeStream(n=3, events=(StreamEvent("+", 0, 1), StreamEvent("-", 0, 1)))
+    s = EdgeStream(n=3, events=(("+", 0, 1), ("-", 0, 1)))
     with pytest.raises(HasDeletions):
         offline_alpha_good_set(s, 1)
 
@@ -350,7 +350,7 @@ def test_greedy_matching_examples():
 
 
 def test_greedy_matching_rejects_deletions():
-    s = EdgeStream(n=3, events=(StreamEvent("+", 0, 1), StreamEvent("-", 0, 1)))
+    s = EdgeStream(n=3, events=(("+", 0, 1), ("-", 0, 1)))
     with pytest.raises(HasDeletions):
         greedy_maximal_matching(s)
 

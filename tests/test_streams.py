@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -6,7 +7,6 @@ from arbormatch import (
     EdgeStream,
     GraphError,
     ParseError,
-    StreamEvent,
     StreamInvariantError,
     build_graph,
     degeneracy,
@@ -33,10 +33,27 @@ from conftest import random_graph, reference_union_of_forests
 
 
 def test_events_normalize_endpoints():
-    assert insert_event(3, 1) == StreamEvent("+", 1, 3)
-    assert delete_event(2, 5) == StreamEvent("-", 2, 5)
+    assert insert_event(3, 1) == ("+", 1, 3)
+    assert delete_event(2, 5) == ("-", 2, 5)
     with pytest.raises(StreamInvariantError):
         insert_event(2, 2)
+
+
+def test_events_are_plain_tuples_the_collector_untracks():
+    g = generate_union_of_forests(40, 2, seed=1)
+    produced = {
+        "parse_stream": parse_stream("n 3\n# arboricity 1\n+ 0 1\n+ 1 2\n- 0 1\n").events,
+        "order_stream": order_stream(g, "uniform-random", seed=2).events,
+        "generate_dynamic_stream": generate_dynamic_stream(g, 0.5, seed=3).events,
+        "insert_event": (insert_event(3, 1), insert_event(0, 7)),
+        "delete_event": (delete_event(2, 5), delete_event(9, 4)),
+    }
+    gc.collect()  # a pass untracks every exact tuple that holds only atoms
+    for source, events in produced.items():
+        assert events, source
+        for ev in events:
+            assert type(ev) is tuple, (source, ev)
+            assert not gc.is_tracked(ev), (source, ev)
 
 
 def test_validate_catches_liveness_violations():
@@ -135,7 +152,7 @@ def test_pruefer_decode_rejects_bad_labels():
 def test_order_stream_as_generated_keeps_order():
     g = generate_star_forest(1, 5)
     s = order_stream(g, OrderingPolicy.AS_GENERATED)
-    assert tuple((ev.u, ev.v) for ev in s.events) == g.edges
+    assert tuple((u, v) for _, u, v in s.events) == g.edges
 
 
 def test_order_stream_uniform_random_deterministic():
@@ -201,11 +218,11 @@ def test_dynamic_stream_prefix_degeneracy_stays_bounded():
         g = generate_union_of_forests(30, 2, seed=seed)
         s = generate_dynamic_stream(g, 0.5, seed=seed)
         live = set()
-        for ev in s.events:
-            if ev.kind == "+":
-                live.add((ev.u, ev.v))
+        for kind, u, v in s.events:
+            if kind == "+":
+                live.add((u, v))
             else:
-                live.remove((ev.u, ev.v))
+                live.remove((u, v))
             assert degeneracy(Graph(n=g.n, edges=tuple(live))) <= 2 * g.c_declared
 
 
@@ -299,6 +316,41 @@ def test_parse_rejects_malformed_lines():
         parse_stream("n 2\n+ 0 5\n")
     with pytest.raises(ParseError):
         parse_stream("")
+
+
+# blank, whitespace-only and comment lines count toward line numbers
+_PARSE_PREAMBLE = "# a stream\n\nn 4\n   \n  # arboricity 2  \n+ 0 1\n\t# note\n\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("- 1 2", "delete of non-live edge (1, 2)"),
+        ("+ 0 1", "insert of live edge (0, 1)"),
+        ("+ 2 4", "endpoints (2, 4) must satisfy 0 <= u < v < n=4"),
+        ("+ 2 1", "endpoints (2, 1) must satisfy 0 <= u < v < n=4"),
+        ("- 3 3", "endpoints (3, 3) must satisfy 0 <= u < v < n=4"),
+        ("+ 0 x", "endpoints are not integers"),
+        ("* 0 1", "expected '+ u v' or '- u v'"),
+        ("+ 0 1 2", "expected '+ u v' or '- u v'"),
+    ],
+)
+def test_parse_errors_name_their_line_after_blanks_and_comments(line, message):
+    assert parse_stream(_PARSE_PREAMBLE + "+ 1 3\n").c_declared == 2
+    with pytest.raises(ParseError) as info:
+        parse_stream(_PARSE_PREAMBLE + line + "\n+ 2 3\n")
+    assert info.value.line_no == 9
+    assert str(info.value) == f"line 9: {message}"
+
+
+def test_parse_reports_the_first_bad_line():
+    # a liveness error before a malformed line wins, and the other way round
+    with pytest.raises(ParseError, match="^line 3: delete of non-live edge"):
+        parse_stream("n 3\n+ 0 1\n- 1 2\n+ 0 x\n")
+    with pytest.raises(ParseError, match="^line 3: endpoints are not integers"):
+        parse_stream("n 3\n+ 0 1\n+ 0 x\n- 1 2\n")
+    with pytest.raises(ParseError, match="^line 2: expected 'n <count>'"):
+        parse_stream("# a note\n+ 0 1\nn 3\n")
 
 
 def test_parse_ignores_plain_comments():
