@@ -39,7 +39,7 @@ from .streams import DELETE, INSERT
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
 
-    from .streams import EdgeStream, StreamEvent
+    from .streams import EdgeStream
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,6 @@ class Alg1State:
         """Current stored items: |H| edges plus one counter per S and Gamma(S)\\S vertex."""
         return len(self.stored) + len(self.deg) + len(self.lower)
 
-    def apply(self, ev: "StreamEvent") -> None:
-        kind, u, v = ev
-        if kind == INSERT:
-            self.apply_insert(u, v)
-        else:
-            self.apply_delete(u, v)
-
     def apply_insert(self, u: int, v: int) -> None:
         sampled = self.sampled
         in_u = u in sampled
@@ -175,24 +168,21 @@ class Alg1State:
                 if self.lower[x] == 0:
                     del self.lower[x]  # all stored edges gone: drop from Gamma(S)
 
-    def counter(self, w: int) -> int:
-        """The one counter that exists for w: d(w) if sampled, else l(w)."""
-        if w in self.sampled:
-            return self.deg[w]
-        return self.lower.get(w, 0)
-
     def split(self) -> tuple[list[int], list[int]]:
         """(S_1, S_2): low-degree sampled vertices with a low-counter neighbor,
-        and high-degree sampled vertices."""
+        and high-degree sampled vertices.
+
+        A neighbor's one counter is d(.) if it is sampled, else l(.): ``lower``
+        never holds a sampled vertex, so the high-counter vertices are the
+        high entries of ``deg`` and ``lower`` together.
+        """
         mu = self.params.mu
-        s1 = []
-        s2 = []
-        for v in self.sampled:
-            d = self.deg[v]
-            if d > mu:
-                s2.append(v)
-            elif any(self.counter(w) <= mu for w in self.neighbors[v]):
-                s1.append(v)
+        deg = self.deg
+        neighbors = self.neighbors
+        s2 = [v for v, d in deg.items() if d > mu]
+        high = set(s2)
+        high.update(w for w, count in self.lower.items() if count > mu)
+        s1 = [v for v, d in deg.items() if d <= mu and not neighbors[v] <= high]
         return s1, s2
 
     def estimate(self) -> float:
@@ -561,17 +551,26 @@ class _EdgeSample:
     def edges(self) -> list[Edge]:
         return [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
 
-    def apply(self, ev: "StreamEvent") -> None:
-        kind, u, v = ev
-        if kind == INSERT:
-            if self.passes(u, v):
-                self._insert(u, v)
-        elif v in self.adj.get(u, ()):
+    def insert(self, u: int, v: int) -> None:
+        if self.level == 0 or self.passes(u, v):
+            self._insert(u, v)
+
+    def delete(self, u: int, v: int) -> None:
+        if v in self.adj.get(u, ()):
             self._repair(self._remove(u, v))
 
     def _insert(self, u: int, v: int) -> None:
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
+        adj = self.adj
+        nbrs = adj.get(u)
+        if nbrs is None:
+            adj[u] = {v}
+        else:
+            nbrs.add(v)
+        nbrs = adj.get(v)
+        if nbrs is None:
+            adj[v] = {u}
+        else:
+            nbrs.add(u)
         self.size += 1
         mate = self.mate
         if u not in mate and v not in mate:
@@ -654,13 +653,22 @@ def dynamic_estimate(
     salt = master.getrandbits(64)
     state = Alg1State(n, params, sampler_seed)
     sample = _EdgeSample(capacity, salt)
+    sample_insert, sample_delete = sample.insert, sample.delete
+    state_insert, state_delete = state.apply_insert, state.apply_delete
+    stored, lower = state.stored, state.lower
+    counters = len(state.deg)  # one per sampled vertex, fixed at initialization
     peak = state.items()
-    for ev in stream.events:
-        sample.apply(ev)
-        state.apply(ev)
-        items = state.items() + sample.size
-        if items > peak:
-            peak = items
+    for kind, u, v in stream.events:
+        if kind == INSERT:
+            sample_insert(u, v)
+            state_insert(u, v)
+            # only an insert can raise the count: a delete never adds an item
+            items = len(stored) + counters + len(lower) + sample.size
+            if items > peak:
+                peak = items
+        else:
+            sample_delete(u, v)
+            state_delete(u, v)
     s = state.estimate()
     return _composite(
         "dynamic", params, t, len(sample.mate) // 2, lambda: s, peak, seed,

@@ -284,6 +284,11 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     breaks the cap exactly when the live graph plus e has a nonempty
     (cap+1)-core, and that core is connected and holds both endpoints of e:
     the check peels only the region of degree > cap reachable from one end.
+
+    Each step draws among the open actions (real, decoy-in, decoy-out) and
+    each decoy's endpoints with ``getrandbits`` rejection, the way CPython's
+    ``rng.choice`` and ``rng.randrange`` draw, so the streams are the ones
+    those calls build.
     """
     if not 0.0 <= delete_fraction <= 1.0:
         raise GraphError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
@@ -299,28 +304,28 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
             f"stream of {m + 2 * target_decoys} events exceeds the budget {budget}"
         )
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     real = list(g.edges)
     rng.shuffle(real)
     real_idx = 0
     pending = target_decoys
-    adj: list[set[int]] = [set() for _ in range(g.n)]  # of the live graph
+    n = g.n
+    last = n - 1
+    bits_u = n.bit_length()
+    bits_v = last.bit_length()
+    adj: list[set[int]] = [set() for _ in range(n)]  # of the live graph
     live_decoys: deque[Edge] = deque()
     forbidden = set(g.edges)
     events: list[StreamEvent] = []
-
-    def insert(e: Edge) -> None:
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
-        events.append((INSERT, *e))
+    append = events.append
 
     def delete_oldest_decoy() -> None:
         u, v = live_decoys.popleft()
         adj[u].remove(v)
         adj[v].remove(u)
-        events.append((DELETE, u, v))
+        append((DELETE, u, v))
 
-    def fits(e: Edge) -> bool:
-        u, v = e
+    def fits(u: int, v: int) -> bool:
         if len(adj[u]) < cap or len(adj[v]) < cap:
             return True  # an endpoint would have degree <= cap: not in the core
         adj[u].add(v)
@@ -346,33 +351,49 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
         adj[v].remove(u)
         return peeled == len(region)
 
-    while real_idx < len(real) or pending > 0 or live_decoys:
-        actions = []
-        if real_idx < len(real):
-            actions.append("real")
-        if pending > 0:
-            actions.append("decoy-in")
-        if live_decoys:
-            actions.append("decoy-out")
-        act = actions[0] if len(actions) == 1 else rng.choice(actions)
-        if act == "real":
-            e = real[real_idx]
+    while True:
+        open_real = real_idx < len(real)
+        k = open_real + (pending > 0) + bool(live_decoys)
+        if k == 0:
+            break
+        # pick among the k open actions as rng.choice does (k <= 3 needs 2 bits),
+        # then map the pick onto 0 real, 1 decoy-in, 2 decoy-out
+        act = 0
+        if k > 1:
+            act = getrandbits(2)
+            while act >= k:
+                act = getrandbits(2)
+        if not open_real:
+            act += 1
+        if act == 1 and pending == 0:
+            act = 2
+        if act == 0:
+            u, v = real[real_idx]
             real_idx += 1
-            while live_decoys and not fits(e):
+            while live_decoys and not fits(u, v):
                 delete_oldest_decoy()
-            insert(e)
-        elif act == "decoy-in":
+            adj[u].add(v)
+            adj[v].add(u)
+            append((INSERT, u, v))
+        elif act == 1:
             pending -= 1
             for _ in range(50):
-                u = rng.randrange(g.n)
-                v = rng.randrange(g.n - 1)
+                u = getrandbits(bits_u)
+                while u >= n:
+                    u = getrandbits(bits_u)
+                v = getrandbits(bits_v)
+                while v >= last:
+                    v = getrandbits(bits_v)
                 if v >= u:
                     v += 1
-                e = (u, v) if u < v else (v, u)
-                if v in adj[u] or e in forbidden or not fits(e):
+                else:
+                    u, v = v, u
+                if v in adj[u] or (u, v) in forbidden or not fits(u, v):
                     continue
-                insert(e)
-                live_decoys.append(e)
+                adj[u].add(v)
+                adj[v].add(u)
+                append((INSERT, u, v))
+                live_decoys.append((u, v))
                 break
         else:
             delete_oldest_decoy()

@@ -134,6 +134,26 @@ def naive_degeneracy(g: Graph) -> int:
     return best
 
 
+def reference_split(state) -> tuple[list[int], list[int]]:
+    """Reference for Alg1State.split: each neighbour's one counter, d(w) if
+    w is sampled, else l(w), compared with mu one neighbour at a time."""
+    mu = state.params.mu
+
+    def counter(w: int) -> int:
+        if w in state.sampled:
+            return state.deg[w]
+        return state.lower.get(w, 0)
+
+    s1 = []
+    s2 = []
+    for v in state.sampled:
+        if state.deg[v] > mu:
+            s2.append(v)
+        elif any(counter(w) <= mu for w in state.neighbors[v]):
+            s1.append(v)
+    return s1, s2
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA5B)

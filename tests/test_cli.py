@@ -98,6 +98,17 @@ def test_estimate_over_budget_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "exceeds the budget" in err
 
 
+def test_estimate_on_a_stream_with_deletes(tmp_path, capsys):
+    spath = tmp_path / "churn.txt"
+    spath.write_text("n 4\n+ 0 1\n+ 1 2\n- 0 1\n+ 2 3\n")
+    code = main(["estimate", str(spath), "--algorithm", "dynamic", "--c", "1", "--mu", "3"])
+    assert code == 0
+    assert "value=" in capsys.readouterr().out
+    assert main(["estimate", str(spath), "--algorithm", "logspace", "--c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "delete events" in captured.err and captured.out == ""
+
+
 def test_experiment_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     out = tmp_path / "out.csv"

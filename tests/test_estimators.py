@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from arbormatch import (
     delete_event,
     dynamic_estimate,
     estimate_matching_logspace,
+    generate_dynamic_stream,
     generate_star_forest,
     generate_union_of_forests,
     insert_event,
@@ -24,11 +26,30 @@ from arbormatch import (
     order_stream,
 )
 
-from conftest import path_graph, random_graph, star_graph
+from arbormatch.estimators import _EdgeSample
+from conftest import path_graph, random_graph, reference_split, star_graph
 
 
 def _stream(n, edges):
     return EdgeStream(n=n, events=tuple(insert_event(u, v) for u, v in edges))
+
+
+def _replay(state, events):
+    """Feed every event to an Alg1State, inserts and deletes alike."""
+    for kind, u, v in events:
+        if kind == "+":
+            state.apply_insert(u, v)
+        else:
+            state.apply_delete(u, v)
+    return state
+
+
+def _dynamic_streams(n, fractions):
+    """generate_dynamic_stream outputs on union-of-forests graphs (c=2)."""
+    return [
+        generate_dynamic_stream(generate_union_of_forests(n, 2, seed=seed), fraction, seed + 20)
+        for seed, fraction in enumerate(fractions)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +105,50 @@ def test_alg1_deterministic():
 
 
 def test_alg1_state_counter_invariants(rng):
-    for seed in range(15):
-        g = random_graph(rng, rng.randint(3, 14))
-        st = order_stream(g, "uniform-random", seed)
-        params = Alg1Params(mu=3, p=0.5, c=1, epsilon=0.5)
-        state = Alg1State(g.n, params, seed)
-        for ev in st.events:
-            state.apply(ev)
-        deg = g.degrees
+    streams = [
+        order_stream(random_graph(rng, rng.randint(3, 14)), "uniform-random", seed)
+        for seed in range(15)
+    ]
+    streams += _dynamic_streams(40, (0.5, 1.0, 0.5, 1.0))  # deletes undo the counters
+    params = Alg1Params(mu=3, p=0.5, c=1, epsilon=0.5)
+    for seed, st in enumerate(streams):
+        state = _replay(Alg1State(st.n, params, seed), st.events)
+        live = st.live_edges()
+        deg = [0] * st.n
+        for u, v in live:
+            deg[u] += 1
+            deg[v] += 1
         for v in state.sampled:
-            assert state.deg[v] == deg[v]  # sampled vertices see every incident edge
+            assert state.deg[v] == deg[v]  # sampled vertices see every live incident edge
         for w, lw in state.lower.items():
             assert w not in state.sampled
             assert 1 <= lw <= deg[w]  # lower-bound property
-        for u, v in state.stored:
-            assert u in state.sampled or v in state.sampled
+        sampled = state.sampled
+        assert state.stored == {(u, v) for u, v in live if u in sampled or v in sampled}
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+def test_alg1_split_matches_the_per_neighbour_reference(rng, p):
+    streams = [
+        order_stream(random_graph(rng, rng.randint(2, 30)), "uniform-random", seed)
+        for seed in range(20)
+    ]
+    streams += _dynamic_streams(60, (0.5, 1.0, 0.5, 1.0))
+    params = Alg1Params(mu=3, p=p, c=1, epsilon=0.5)
+    s1_total = s2_total = all_high = 0
+    for seed, st in enumerate(streams):
+        state = _replay(Alg1State(st.n, params, seed), st.events)
+        s1, s2 = state.split()
+        want1, want2 = reference_split(state)
+        assert (sorted(s1), sorted(s2)) == (sorted(want1), sorted(want2))
+        s1_total += len(s1)
+        s2_total += len(s2)
+        # low sampled vertices whose neighbours all have high counters
+        all_high += sum(
+            1 for v in state.sampled
+            if state.neighbors[v] and state.deg[v] <= params.mu and v not in want1
+        )
+    assert s1_total and s2_total and all_high  # every branch of the split is reached
 
 
 def test_alg1_space_counts_sample_and_counters():
@@ -190,6 +240,27 @@ def test_alg1_and_alg2_space_peak_is_the_largest_per_event_count(rng):
             peak = max(peak, state.items() + r)
         assert est.space_peak == peak
 
+    # dynamic: replay the sample and the degree state, deletes included
+    for seed, st in enumerate(_dynamic_streams(80, (0.5, 1.0, 0.3))):
+        for capacity in (None, 3, 20):
+            est = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=seed,
+                                   capacity_override=capacity)
+            master = random.Random(seed)
+            params = Alg1Params(mu=5, p=est.params["p"], c=2, epsilon=0.5)
+            state = Alg1State(st.n, params, master.getrandbits(64))
+            sample = _EdgeSample(est.params["capacity"], master.getrandbits(64))
+            peak = state.items()
+            for kind, u, v in st.events:
+                if kind == "+":
+                    sample.insert(u, v)
+                    state.apply_insert(u, v)
+                else:
+                    sample.delete(u, v)
+                    state.apply_delete(u, v)
+                peak = max(peak, state.items() + sample.size)
+            assert sample.level == est.params["sample_level"]
+            assert est.space_peak == peak
+
 
 def test_alg2_deterministic():
     g = generate_union_of_forests(80, 2, seed=1)
@@ -243,8 +314,6 @@ def test_dynamic_on_insert_only_matches_greedy_contract(rng):
 
 
 def test_dynamic_counters_match_final_graph():
-    from arbormatch import generate_dynamic_stream
-
     for seed in range(8):
         g = generate_union_of_forests(50, 1, seed=seed)
         st = generate_dynamic_stream(g, 0.5, seed=seed + 50)
@@ -256,8 +325,6 @@ def test_dynamic_counters_match_final_graph():
 
 
 def test_dynamic_deterministic():
-    from arbormatch import generate_dynamic_stream
-
     g = generate_union_of_forests(40, 2, seed=2)
     st = generate_dynamic_stream(g, 0.3, seed=8)
     a = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=3)
@@ -284,9 +351,6 @@ def _check_sample(sample, live):
 
 
 def test_edge_sample_invariants_hold_at_every_event():
-    from arbormatch import generate_dynamic_stream
-    from arbormatch.estimators import _EdgeSample
-
     star = [insert_event(0, i) for i in range(1, 150)] + [delete_event(0, i) for i in range(1, 120)]
     streams = [EdgeStream(n=150, events=tuple(star))]
     for seed, fraction in enumerate((0.0, 0.5, 1.0)):
@@ -296,12 +360,12 @@ def test_edge_sample_invariants_hold_at_every_event():
         for capacity in (3, 20, 90):
             sample = _EdgeSample(capacity, salt=1000 * k + capacity)
             live = set()
-            for ev in st.events:
-                sample.apply(ev)
-                kind, u, v = ev
+            for kind, u, v in st.events:
                 if kind == "+":
+                    sample.insert(u, v)
                     live.add((u, v))
                 else:
+                    sample.delete(u, v)
                     live.discard((u, v))
                 _check_sample(sample, live)
             assert sample.level >= 1  # every stream outgrows every capacity here
@@ -309,11 +373,7 @@ def test_edge_sample_invariants_hold_at_every_event():
 
 
 def test_edge_sample_inclusion_frequency_is_the_common_rate():
-    import random
     import statistics
-
-    from arbormatch import generate_dynamic_stream
-    from arbormatch.estimators import _EdgeSample
 
     g = generate_union_of_forests(200, 2, seed=3)
     st = generate_dynamic_stream(g, 0.5, seed=4)
@@ -322,8 +382,11 @@ def test_edge_sample_inclusion_frequency_is_the_common_rate():
     rates = []
     for seed in range(runs):
         sample = _EdgeSample(60, salt=random.Random(seed).getrandbits(64))
-        for ev in st.events:
-            sample.apply(ev)
+        for kind, u, v in st.events:
+            if kind == "+":
+                sample.insert(u, v)
+            else:
+                sample.delete(u, v)
         rates.append(2.0 ** -sample.level)
         for e in sample.edges():
             counts[e] += 1  # KeyError if a deleted edge stayed in the sample
@@ -335,8 +398,6 @@ def test_edge_sample_inclusion_frequency_is_the_common_rate():
 
 
 def test_dynamic_sample_honours_capacity_override():
-    from arbormatch import generate_dynamic_stream
-
     g = generate_union_of_forests(300, 1, seed=7000)
     st = generate_dynamic_stream(g, 0.5, seed=1)
     est = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0)
@@ -353,7 +414,7 @@ def test_dynamic_sample_honours_capacity_override():
 
 
 def test_dynamic_sampled_regime_lands_in_the_c10_window():
-    from arbormatch import forest_matching_size, generate_dynamic_stream
+    from arbormatch import forest_matching_size
 
     mu, c, epsilon = 3, 1, 0.5
     beta = mu * (2.0 * mu / (mu - 2 * c + 1) + 1.0)
@@ -382,8 +443,6 @@ def test_dynamic_sampled_regime_lands_in_the_c10_window():
 def _pinned_estimator_runs():
     """(name, run) per estimator configuration; each run maps (graph, c, seed)
     to an Estimate."""
-    from arbormatch import generate_dynamic_stream
-
     def ordered(g, seed):
         return order_stream(g, "uniform-random", seed)
 
