@@ -113,60 +113,73 @@ class Alg1State:
 
     Every vertex enters the sample S independently with probability p at
     initialization. Each arriving edge with a sampled endpoint is stored;
-    sampled endpoints advance their exact counter d(.), unsampled endpoints
-    of stored edges advance the lower-bound counter l(.). Deletes undo those
-    updates, and a neighbor whose stored edges all vanish is discarded.
+    sampled endpoints add the other endpoint to their neighbour set, whose
+    size is the exact counter d(.), and unsampled endpoints of stored edges
+    advance the lower-bound counter l(.). Deletes undo those updates, and a
+    neighbor whose stored edges all vanish is discarded.
+
+    Each stored edge is kept once, in the neighbour set of a sampled
+    endpoint, so an edge is stored iff such an endpoint lists the other.
     """
 
     def __init__(self, n: int, params: Alg1Params, seed: int):
         self.params = params
         if params.p >= 1.0:
-            sampled = set(range(n))
+            sampled = range(n)
         else:
             rng = random.Random(seed)
             p = params.p
-            sampled = {v for v in range(n) if rng.random() < p}
-        self.sampled = sampled
-        self.deg = dict.fromkeys(sampled, 0)  # d(.): exact live degree per sampled vertex
-        self.lower: dict[int, int] = {}  # l(.): stored-edge count per outside neighbor
+            sampled = [v for v in range(n) if rng.random() < p]
+        # S -> live stored neighbours: the keys are S, and d(v) = len(neighbors[v])
         self.neighbors: dict[int, set[int]] = {v: set() for v in sampled}
-        self.stored: set[Edge] = set()  # H: edges with a sampled endpoint
+        self.lower: dict[int, int] = {}  # l(.): stored-edge count per outside neighbor
+        self.edges = 0  # |H|: live edges with a sampled endpoint
 
     def items(self) -> int:
         """Current stored items: |H| edges plus one counter per S and Gamma(S)\\S vertex."""
-        return len(self.stored) + len(self.deg) + len(self.lower)
+        return self.edges + len(self.neighbors) + len(self.lower)
 
     def apply_insert(self, u: int, v: int) -> None:
-        sampled = self.sampled
-        in_u = u in sampled
-        in_v = v in sampled
-        if not (in_u or in_v):
+        neighbors = self.neighbors
+        nu = neighbors.get(u)
+        nv = neighbors.get(v)
+        if nu is not None:
+            nu.add(v)
+        elif nv is None:
             return
-        self.stored.add((u, v))
-        if in_u:
-            self.deg[u] += 1
-            self.neighbors[u].add(v)
         else:
             self.lower[u] = self.lower.get(u, 0) + 1
-        if in_v:
-            self.deg[v] += 1
-            self.neighbors[v].add(u)
+        if nv is not None:
+            nv.add(u)
         else:
             self.lower[v] = self.lower.get(v, 0) + 1
+        self.edges += 1
 
     def apply_delete(self, u: int, v: int) -> None:
-        e = (u, v)
-        if e not in self.stored:
+        neighbors = self.neighbors
+        nu = neighbors.get(u)
+        nv = neighbors.get(v)
+        if nu is not None:
+            if v not in nu:
+                return
+            nu.remove(v)
+        elif nv is None or u not in nv:
             return
-        self.stored.remove(e)
-        for x, other in ((u, v), (v, u)):
-            if x in self.sampled:
-                self.deg[x] -= 1
-                self.neighbors[x].discard(other)
-            else:
-                self.lower[x] -= 1
-                if self.lower[x] == 0:
-                    del self.lower[x]  # all stored edges gone: drop from Gamma(S)
+        else:
+            self._drop_lower(u)
+        if nv is not None:
+            nv.remove(u)
+        else:
+            self._drop_lower(v)
+        self.edges -= 1
+
+    def _drop_lower(self, x: int) -> None:
+        lower = self.lower
+        count = lower[x] - 1
+        if count:
+            lower[x] = count
+        else:
+            del lower[x]  # all stored edges gone: drop from Gamma(S)
 
     def split(self) -> tuple[list[int], list[int]]:
         """(S_1, S_2): low-degree sampled vertices with a low-counter neighbor,
@@ -174,15 +187,14 @@ class Alg1State:
 
         A neighbor's one counter is d(.) if it is sampled, else l(.): ``lower``
         never holds a sampled vertex, so the high-counter vertices are the
-        high entries of ``deg`` and ``lower`` together.
+        high-degree sampled vertices and the high entries of ``lower``.
         """
         mu = self.params.mu
-        deg = self.deg
         neighbors = self.neighbors
-        s2 = [v for v, d in deg.items() if d > mu]
+        s2 = [v for v, nbrs in neighbors.items() if len(nbrs) > mu]
         high = set(s2)
         high.update(w for w, count in self.lower.items() if count > mu)
-        s1 = [v for v, d in deg.items() if d <= mu and not neighbors[v] <= high]
+        s1 = [v for v, nbrs in neighbors.items() if len(nbrs) <= mu and not nbrs <= high]
         return s1, s2
 
     def estimate(self) -> float:
@@ -212,7 +224,7 @@ def alg1_estimate(stream: "EdgeStream", params: Alg1Params, seed: int) -> Estima
             "c": params.c,
             "epsilon": params.epsilon,
             "beta": params.beta,
-            "sample_size": len(state.sampled),
+            "sample_size": len(state.neighbors),
         },
     )
 
@@ -655,15 +667,15 @@ def dynamic_estimate(
     sample = _EdgeSample(capacity, salt)
     sample_insert, sample_delete = sample.insert, sample.delete
     state_insert, state_delete = state.apply_insert, state.apply_delete
-    stored, lower = state.stored, state.lower
-    counters = len(state.deg)  # one per sampled vertex, fixed at initialization
+    lower = state.lower
+    counters = len(state.neighbors)  # one per sampled vertex, fixed at initialization
     peak = state.items()
     for kind, u, v in stream.events:
         if kind == INSERT:
             sample_insert(u, v)
             state_insert(u, v)
             # only an insert can raise the count: a delete never adds an item
-            items = len(stored) + counters + len(lower) + sample.size
+            items = state.edges + counters + len(lower) + sample.size
             if items > peak:
                 peak = items
         else:

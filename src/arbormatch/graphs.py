@@ -63,7 +63,14 @@ class Graph:
         return degeneracy(self)
 
     def adjacency(self) -> list[list[int]]:
-        """Adjacency lists, neighbor order following edge construction order."""
+        """Adjacency lists, neighbor order following edge construction order.
+
+        Built once per graph and shared by every caller: read-only.
+        """
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -155,26 +162,47 @@ def parse_graph(text: str, c_declared: int | None = None) -> Graph:
 def maximum_matching_size(g: Graph) -> int:
     """Exact maximum matching size via augmenting paths with blossom contraction.
 
-    Deterministic. A greedy matching seeds the search so most vertices never
-    trigger an augmentation round. Each root's search resets only the vertices
-    it touched, and each contraction relabels only the vertices inside the new
-    blossom, found from the bases on its cycle; so a search costs time in the
-    part of the graph it explores, not in n. Desk-scale only (a search that
-    finds no augmenting path still explores its whole component); large
-    forests should use forest_matching_size.
+    Deterministic. A Karp-Sipser greedy matching (FOCS 1981) seeds the search,
+    so few vertices trigger an augmentation round: a free vertex with one free
+    neighbour is matched to it before the vertex-order greedy takes its next
+    step, and such a match is always in some maximum matching of what is left.
+    Each root's search resets only the vertices it touched, and each
+    contraction relabels only the vertices inside the new blossom, found from
+    the bases on its cycle; so a search costs time in the part of the graph it
+    explores, not in n. Desk-scale only (a search that finds no augmenting
+    path still explores its whole component); large forests should use
+    forest_matching_size.
     """
     n = g.n
     if n == 0 or not g.edges:
         return 0
     adj = g.adjacency()
     match = [-1] * n
+    free = list(map(len, adj))  # free neighbours of each free vertex
+    ones = [v for v in range(n - 1, -1, -1) if free[v] == 1]  # stack, pops in vertex order
     for u in range(n):
-        if match[u] < 0:
-            for v in adj[u]:
-                if match[v] < 0:
-                    match[u] = v
-                    match[v] = u
+        while True:
+            if ones:
+                x = ones.pop()
+                if match[x] >= 0 or free[x] != 1:
+                    continue  # matched, or its one free neighbour was taken
+            elif match[u] < 0:
+                x = u  # the greedy step
+            else:
+                break
+            for y in adj[x]:
+                if match[y] < 0:
                     break
+            else:
+                break  # only the greedy step gets here: u has no free neighbour
+            match[x] = y
+            match[y] = x
+            for z in (x, y):
+                for w in adj[z]:
+                    if match[w] < 0:
+                        free[w] -= 1
+                        if free[w] == 1:
+                            ones.append(w)
 
     parent = [-1] * n
     base = list(range(n))

@@ -140,16 +140,16 @@ def reference_split(state) -> tuple[list[int], list[int]]:
     mu = state.params.mu
 
     def counter(w: int) -> int:
-        if w in state.sampled:
-            return state.deg[w]
+        if w in state.neighbors:
+            return len(state.neighbors[w])
         return state.lower.get(w, 0)
 
     s1 = []
     s2 = []
-    for v in state.sampled:
-        if state.deg[v] > mu:
+    for v, nbrs in state.neighbors.items():
+        if len(nbrs) > mu:
             s2.append(v)
-        elif any(counter(w) <= mu for w in state.neighbors[v]):
+        elif any(counter(w) <= mu for w in nbrs):
             s1.append(v)
     return s1, s2
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -114,17 +115,17 @@ def test_alg1_state_counter_invariants(rng):
     for seed, st in enumerate(streams):
         state = _replay(Alg1State(st.n, params, seed), st.events)
         live = st.live_edges()
-        deg = [0] * st.n
+        nbrs = [set() for _ in range(st.n)]
         for u, v in live:
-            deg[u] += 1
-            deg[v] += 1
-        for v in state.sampled:
-            assert state.deg[v] == deg[v]  # sampled vertices see every live incident edge
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        sampled = state.neighbors
+        for v, stored in sampled.items():
+            assert stored == nbrs[v]  # sampled vertices see every live incident edge
         for w, lw in state.lower.items():
-            assert w not in state.sampled
-            assert 1 <= lw <= deg[w]  # lower-bound property
-        sampled = state.sampled
-        assert state.stored == {(u, v) for u, v in live if u in sampled or v in sampled}
+            assert w not in sampled
+            assert 1 <= lw <= len(nbrs[w])  # lower-bound property
+        assert state.edges == sum(1 for u, v in live if u in sampled or v in sampled)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
@@ -145,8 +146,8 @@ def test_alg1_split_matches_the_per_neighbour_reference(rng, p):
         s2_total += len(s2)
         # low sampled vertices whose neighbours all have high counters
         all_high += sum(
-            1 for v in state.sampled
-            if state.neighbors[v] and state.deg[v] <= params.mu and v not in want1
+            1 for v, nbrs in state.neighbors.items()
+            if nbrs and len(nbrs) <= params.mu and v not in want1
         )
     assert s1_total and s2_total and all_high  # every branch of the split is reached
 
@@ -268,6 +269,32 @@ def test_alg2_deterministic():
     a = alg2_estimate(st, c=2, mu=5, epsilon=0.5, seed=9)
     b = alg2_estimate(st, c=2, mu=5, epsilon=0.5, seed=9)
     assert (a.value, a.space_peak, a.params["t"]) == (b.value, b.space_peak, b.params["t"])
+
+
+@pytest.mark.parametrize("algorithm, ceiling", [
+    ("alg1-p1", 200), ("alg1-p0.1", 110), ("alg2", 170), ("dynamic", 270),
+])
+def test_degree_samplers_stay_under_a_bytes_per_space_item_ceiling(algorithm, ceiling):
+    # next to alg4's 64 B/item: a stored edge costs a set entry at each
+    # sampled endpoint, and every sampled vertex owns a set
+    if algorithm == "dynamic":
+        st = generate_dynamic_stream(generate_union_of_forests(5000, 1, seed=0), 0.5, 0)
+    else:
+        st = order_stream(generate_union_of_forests(20_000, 2, seed=0), "uniform-random", 0)
+    tracemalloc.start()
+    try:
+        if algorithm == "dynamic":
+            est = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0)
+        elif algorithm == "alg2":
+            est = alg2_estimate(st, c=2, mu=7, epsilon=0.5, seed=0)
+        else:
+            p = 1.0 if algorithm == "alg1-p1" else 0.1
+            est = alg1_estimate(st, Alg1Params(mu=5, p=p, c=2, epsilon=0.5), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.space_peak > 10_000
+    assert peak <= ceiling * est.space_peak
 
 
 # ---------------------------------------------------------------------------
