@@ -3,9 +3,9 @@
 
 The insert/delete variant keeps the degree-sampling counters exact under
 deletes (discarding neighbors whose stored edges all vanish) and replaces the
-greedy task with a maximal matching over a hash-and-level edge sample of at
-most 4t^2 live edges; when a matched edge leaves the sample, only its two
-endpoints are re-matched.
+greedy task with a greedy maximal matching over the live edges, kept while
+they number at most 4t^2; a stream that overflows that capacity is decided by
+the degree sampler.
 """
 
 import numpy as np
@@ -38,24 +38,24 @@ def main():
             f"({deletes:3d} deletes)  estimates mean={arr.mean():7.1f} "
             f"window=[{(1-epsilon)*m_star:.0f}, {(1+epsilon)*est.params['beta']*m_star:.0f}]"
         )
-    print(f"  greedy side runs on an edge sample (capacity 4t^2={est.params['capacity']}, "
-          f"t={est.params['t']}): it ends at level {est.params['sample_level']} holding "
-          f"{est.params['sample_size']} of {g.m} live edges; branch used: {est.params['branch']}")
+    print(f"  greedy side keeps every live edge (capacity 4t^2={est.params['capacity']}, "
+          f"t={est.params['t']}): greedy r={est.params['greedy_r']} on {g.m} live edges; "
+          f"branch used: {est.params['branch']}")
 
-    print("\n== a smaller capacity (test hook) puts the sample in its sampled regime ==")
+    print("\n== a smaller capacity (test hook) overflows the live edges ==")
+    lo, hi = (1 - epsilon) * m_star, (1 + epsilon) * est.params["beta"] * m_star
     for capacity in (150, 40):
         runs = [
             dynamic_estimate(stream, c=c, mu=mu, epsilon=epsilon, seed=seed,
                              capacity_override=capacity)
             for seed in range(20)
         ]
-        levels = sorted({run.params["sample_level"] for run in runs})
-        largest = max(run.params["sample_size"] for run in runs)
-        repairs = np.mean([run.params["repairs"] for run in runs])
-        greedy = sum(run.params["branch"] == "greedy" for run in runs)
+        overflowed = sum(run.params["greedy_r"] is None for run in runs)
+        alg1 = sum(run.params["branch"] == "alg1" for run in runs)
+        hits = sum(lo <= run.value <= hi for run in runs)
         arr = np.array([run.value for run in runs], dtype=float)
-        print(f"  capacity {capacity:3d}: levels {levels}, largest sample {largest:3d}, "
-              f"repairs mean={repairs:5.1f}, greedy branch {greedy:2d}/20, "
+        print(f"  capacity {capacity:3d}: overflowed {overflowed:2d}/20, "
+              f"alg1 branch {alg1:2d}/20, in window {hits:2d}/20, "
               f"estimates mean={arr.mean():7.1f}")
 
 

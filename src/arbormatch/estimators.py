@@ -16,9 +16,9 @@ Four building blocks, combined two ways:
   is the exact offline reference for the same test, and
   ``estimate_matching_logspace`` turns the count into a matching estimate.
 * ``dynamic_estimate`` is the insert/delete variant of alg2: counters are
-  decremented on deletes and the greedy side runs on a hash-and-level edge
-  sample that never holds more than its capacity; the sample's matching is
-  kept maximal by re-matching the endpoints of matched edges that leave it.
+  decremented on deletes, and the greedy side is a maximal matching over the
+  live edges, kept while they number at most 4t^2; a stream that overflows
+  that capacity is decided by the degree sampler.
 
 Space is instrumented at event granularity in abstract items: one stored
 edge = 1 item, one counter = 1 item, one live survival test = 3 items.
@@ -33,13 +33,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, ConfigError, HasDeletions
-from .graphs import Edge
-from .streams import DELETE, INSERT
+from .graphs import greedy_maximal_matching
+from .streams import DELETE, INSERT, EdgeStream, StreamEvent
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable
-
-    from .streams import EdgeStream
+    from collections.abc import Callable
 
 
 @dataclass(frozen=True)
@@ -246,13 +244,17 @@ def _cutoff_and_sampler(
 
 
 def _composite(
-    algorithm: str, params: Alg1Params, t: int, r: int,
+    algorithm: str, params: Alg1Params, t: int, r: int | None,
     sampler_estimate: Callable[[], float], space_peak: int, seed: int, **extra,
 ) -> Estimate:
     """alg2's post-processing, shared with the insert/delete variant: twice the
-    greedy matching size r while it stays below t, else ``sampler_estimate()``.
-    ``extra`` appends the caller's own ``params`` keys."""
-    value, branch = (2 * r, "greedy") if r < t else (sampler_estimate(), "alg1")
+    greedy matching size r while it stays below t, else ``sampler_estimate()``;
+    r is None when the caller has no greedy matching. ``extra`` appends the
+    caller's own ``params`` keys."""
+    if r is not None and r < t:
+        value, branch = 2 * r, "greedy"
+    else:
+        value, branch = sampler_estimate(), "alg1"
     return Estimate(
         value=value,
         space_peak=space_peak,
@@ -519,110 +521,6 @@ def estimate_matching_logspace(
 # ---------------------------------------------------------------------------
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    """splitmix64's finalizer: a bijective mix of a 64-bit integer."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-class _EdgeSample:
-    """Capacity-bounded edge sample of the live graph with a maximal matching on it.
-
-    An edge (u, v), normalized u < v as stream events are, passes level L when
-    the top L bits of its 64-bit hash (splitmix64 of u, then v, under
-    ``salt``) are zero, which happens with probability 2^-L. The sample is
-    always {live e : e passes ``level``}: an insert that pushes it past
-    ``capacity`` raises the level one step at a time, dropping the edges the
-    new level rejects, until it fits; a delete only removes its edge, and the
-    level never falls. This is the subsampling of Chitnis et al. (SODA 2016).
-
-    ``mate`` is a matching of sample edges, maximal over the sample. Inserts
-    extend it greedily. When a matched edge leaves the sample only its two
-    endpoints can become free, so each is re-matched against its sampled
-    neighbours; ``repairs`` counts those edges.
-    """
-
-    def __init__(self, capacity: int, salt: int):
-        self.capacity = capacity
-        self.salt = salt
-        self.level = 0
-        self.size = 0
-        self.adj: dict[int, set[int]] = {}  # sampled neighbours; no empty sets
-        self.mate: dict[int, int] = {}
-        self.repairs = 0
-
-    def passes(self, u: int, v: int) -> bool:
-        level = self.level
-        return level == 0 or _mix64(_mix64(self.salt ^ u) + v) >> (64 - level) == 0
-
-    def edges(self) -> list[Edge]:
-        return [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
-
-    def insert(self, u: int, v: int) -> None:
-        if self.level == 0 or self.passes(u, v):
-            self._insert(u, v)
-
-    def delete(self, u: int, v: int) -> None:
-        if v in self.adj.get(u, ()):
-            self._repair(self._remove(u, v))
-
-    def _insert(self, u: int, v: int) -> None:
-        adj = self.adj
-        nbrs = adj.get(u)
-        if nbrs is None:
-            adj[u] = {v}
-        else:
-            nbrs.add(v)
-        nbrs = adj.get(v)
-        if nbrs is None:
-            adj[v] = {u}
-        else:
-            nbrs.add(u)
-        self.size += 1
-        mate = self.mate
-        if u not in mate and v not in mate:
-            mate[u] = v
-            mate[v] = u
-        while self.size > self.capacity:
-            self.level += 1
-            freed: list[int] = []
-            for a, b in self.edges():
-                if not self.passes(a, b):
-                    freed += self._remove(a, b)
-            self._repair(freed)  # after the drops: no repair matches along a doomed edge
-
-    def _remove(self, u: int, v: int) -> tuple[int, ...]:
-        """Drop sample edge (u, v); returns the endpoints it leaves unmatched."""
-        adj = self.adj
-        for x, y in ((u, v), (v, u)):
-            nbrs = adj[x]
-            nbrs.remove(y)
-            if not nbrs:
-                del adj[x]
-        self.size -= 1
-        if self.mate.get(u) != v:
-            return ()
-        del self.mate[u], self.mate[v]
-        self.repairs += 1
-        return (u, v)
-
-    def _repair(self, freed: Iterable[int]) -> None:
-        mate = self.mate
-        for x in freed:
-            if x in mate:
-                continue
-            for y in self.adj.get(x, ()):
-                if y not in mate:
-                    mate[x] = y
-                    mate[y] = x
-                    break
-
-
 DYNAMIC_BUDGET_FACTOR = 4  # allowed stream length: 4*c*n events
 
 
@@ -642,13 +540,15 @@ def dynamic_estimate(
 ) -> Estimate:
     """Insert/delete matching estimate with the alg2 post-processing.
 
-    Runs the delete-aware degree sampler next to a maximal matching over an
-    edge sample of at most 4*t^2 live edges; returns twice the final matching
-    size when it stays below t, the degree-sampling estimate otherwise.
-    Streams longer than the 4*c*n budget are rejected.
+    Runs the delete-aware degree sampler next to the set of live edges, which
+    is given up for the rest of the stream the first time it holds more than
+    4*t^2 edges. If the set survives, r is the greedy maximal matching over it
+    in insertion order, and twice r is returned when r < t; otherwise, and
+    after an overflow (``params["greedy_r"]`` is None), the degree-sampling
+    estimate is returned. Streams longer than the 4*c*n budget are rejected.
 
     ``capacity_override`` is a test hook that replaces 4*t^2, so small inputs
-    reach the sampled regime (``params["sample_level"] >= 1``).
+    overflow the set.
     """
     n = stream.n
     budget = DYNAMIC_BUDGET_FACTOR * c * n
@@ -659,35 +559,35 @@ def dynamic_estimate(
     t, params = _cutoff_and_sampler(n, c, mu, epsilon, dynamic_greedy_cutoff)
     capacity = 4 * t * t if capacity_override is None else capacity_override
     if capacity < 1:
-        raise ConfigError(f"the edge sample needs capacity >= 1, got {capacity}")
-    master = random.Random(seed)
-    sampler_seed = master.getrandbits(64)
-    salt = master.getrandbits(64)
-    state = Alg1State(n, params, sampler_seed)
-    sample = _EdgeSample(capacity, salt)
-    sample_insert, sample_delete = sample.insert, sample.delete
+        raise ConfigError(f"the live-edge set needs capacity >= 1, got {capacity}")
+    state = Alg1State(n, params, random.Random(seed).getrandbits(64))
     state_insert, state_delete = state.apply_insert, state.apply_delete
     lower = state.lower
     counters = len(state.neighbors)  # one per sampled vertex, fixed at initialization
+    # the live edges' insert events in insertion order, None once past capacity;
+    # keyed by the stream's own event tuples, so an insert allocates no key
+    live: dict[StreamEvent, None] | None = {}
     peak = state.items()
-    for kind, u, v in stream.events:
+    for event in stream.events:
+        kind, u, v = event
         if kind == INSERT:
-            sample_insert(u, v)
             state_insert(u, v)
+            held = 0
+            if live is not None:
+                live[event] = None
+                held = len(live)
+                if held > capacity:
+                    live = None
             # only an insert can raise the count: a delete never adds an item
-            items = state.edges + counters + len(lower) + sample.size
+            items = state.edges + counters + len(lower) + held
             if items > peak:
                 peak = items
         else:
-            sample_delete(u, v)
             state_delete(u, v)
+            if live is not None:
+                live.pop((INSERT, u, v), None)
+    r = None if live is None else greedy_maximal_matching(EdgeStream(n, tuple(live)))
     s = state.estimate()
     return _composite(
-        "dynamic", params, t, len(sample.mate) // 2, lambda: s, peak, seed,
-        capacity=capacity,
-        alg1_value=s,
-        sample_level=sample.level,
-        sample_size=sample.size,
-        repairs=sample.repairs,
-        matching_substitute="hash-level-edge-sample+local-repair",
+        "dynamic", params, t, r, lambda: s, peak, seed, capacity=capacity, alg1_value=s
     )

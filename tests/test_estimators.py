@@ -22,12 +22,12 @@ from arbormatch import (
     generate_dynamic_stream,
     generate_star_forest,
     generate_union_of_forests,
+    greedy_maximal_matching,
     insert_event,
     maximum_matching_size,
     order_stream,
 )
 
-from arbormatch.estimators import _EdgeSample
 from conftest import path_graph, random_graph, reference_split, star_graph
 
 
@@ -241,25 +241,29 @@ def test_alg1_and_alg2_space_peak_is_the_largest_per_event_count(rng):
             peak = max(peak, state.items() + r)
         assert est.space_peak == peak
 
-    # dynamic: replay the sample and the degree state, deletes included
+    # dynamic: replay the live-edge set and the degree state, deletes included;
+    # the insert that takes the set past capacity counts, and the set is gone after it
     for seed, st in enumerate(_dynamic_streams(80, (0.5, 1.0, 0.3))):
         for capacity in (None, 3, 20):
             est = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=seed,
                                    capacity_override=capacity)
-            master = random.Random(seed)
             params = Alg1Params(mu=5, p=est.params["p"], c=2, epsilon=0.5)
-            state = Alg1State(st.n, params, master.getrandbits(64))
-            sample = _EdgeSample(est.params["capacity"], master.getrandbits(64))
+            state = Alg1State(st.n, params, random.Random(seed).getrandbits(64))
+            live = set()
             peak = state.items()
             for kind, u, v in st.events:
                 if kind == "+":
-                    sample.insert(u, v)
                     state.apply_insert(u, v)
+                    if live is not None:
+                        live.add((u, v))
+                    peak = max(peak, state.items() + len(live or ()))
+                    if live is not None and len(live) > est.params["capacity"]:
+                        live = None
                 else:
-                    sample.delete(u, v)
                     state.apply_delete(u, v)
-                peak = max(peak, state.items() + sample.size)
-            assert sample.level == est.params["sample_level"]
+                    if live is not None:
+                        live.discard((u, v))
+            assert (live is None) == (est.params["greedy_r"] is None)
             assert est.space_peak == peak
 
 
@@ -272,7 +276,7 @@ def test_alg2_deterministic():
 
 
 @pytest.mark.parametrize("algorithm, ceiling", [
-    ("alg1-p1", 200), ("alg1-p0.1", 110), ("alg2", 170), ("dynamic", 270),
+    ("alg1-p1", 200), ("alg1-p0.1", 110), ("alg2", 170), ("dynamic", 180),
 ])
 def test_degree_samplers_stay_under_a_bytes_per_space_item_ceiling(algorithm, ceiling):
     # next to alg4's 64 B/item: a stored edge costs a set entry at each
@@ -357,90 +361,61 @@ def test_dynamic_deterministic():
     a = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=3)
     b = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=3)
     assert (a.value, a.space_peak) == (b.value, b.space_peak)
-    assert a.params["matching_substitute"] == "hash-level-edge-sample+local-repair"
+    assert a.params == b.params
+    assert a.params["greedy_r"] is not None  # 4t^2 holds every live edge at this size
 
 
 # ---------------------------------------------------------------------------
-# the dynamic estimator's edge sample
+# the dynamic estimator's live-edge set
 # ---------------------------------------------------------------------------
 
 
-def _check_sample(sample, live):
-    """Capacity, sample = {live e : e passes the level}, and a maximal matching."""
-    edges = set(sample.edges())
-    assert sample.size == len(edges) <= sample.capacity
-    assert edges == {e for e in live if sample.passes(*e)}
-    mate = sample.mate
-    for x, y in mate.items():
-        assert mate[y] == x and (min(x, y), max(x, y)) in edges
-    for u, v in edges:
-        assert u in mate or v in mate  # maximal over the sample
-
-
-def test_edge_sample_invariants_hold_at_every_event():
-    star = [insert_event(0, i) for i in range(1, 150)] + [delete_event(0, i) for i in range(1, 120)]
-    streams = [EdgeStream(n=150, events=tuple(star))]
-    for seed, fraction in enumerate((0.0, 0.5, 1.0)):
-        g = generate_union_of_forests(120, 2, seed=seed)
-        streams.append(generate_dynamic_stream(g, fraction, seed=seed + 10))
-    for k, st in enumerate(streams):
-        for capacity in (3, 20, 90):
-            sample = _EdgeSample(capacity, salt=1000 * k + capacity)
-            live = set()
-            for kind, u, v in st.events:
-                if kind == "+":
-                    sample.insert(u, v)
-                    live.add((u, v))
-                else:
-                    sample.delete(u, v)
-                    live.discard((u, v))
-                _check_sample(sample, live)
-            assert sample.level >= 1  # every stream outgrows every capacity here
-            assert sample.repairs > 0
-
-
-def test_edge_sample_inclusion_frequency_is_the_common_rate():
-    import statistics
-
-    g = generate_union_of_forests(200, 2, seed=3)
-    st = generate_dynamic_stream(g, 0.5, seed=4)
-    runs = 300
-    counts = dict.fromkeys(g.edges, 0)  # the live edges at the end
-    rates = []
-    for seed in range(runs):
-        sample = _EdgeSample(60, salt=random.Random(seed).getrandbits(64))
+def test_dynamic_greedy_side_is_the_greedy_matching_of_the_live_edges():
+    for seed, st in enumerate(_dynamic_streams(120, (0.0, 0.5, 1.0, 0.5, 1.0))):
+        live = {}  # live edges in insertion order: a re-inserted edge goes last
         for kind, u, v in st.events:
             if kind == "+":
-                sample.insert(u, v)
+                live[u, v] = None
             else:
-                sample.delete(u, v)
-        rates.append(2.0 ** -sample.level)
-        for e in sample.edges():
-            counts[e] += 1  # KeyError if a deleted edge stayed in the sample
-    rate = statistics.fmean(rates)
-    assert 0.05 < rate < 0.5  # the level rose
-    se = math.sqrt(rate * (1.0 - rate) / runs)
-    for e, k in counts.items():
-        assert abs(k / runs - rate) <= 5 * se, (e, k / runs, rate)
+                del live[u, v]
+        reference = EdgeStream(n=st.n, events=tuple(insert_event(u, v) for u, v in live))
+        est = dynamic_estimate(st, c=2, mu=5, epsilon=0.5, seed=seed)
+        assert est.params["capacity"] == 4 * est.params["t"] ** 2 >= len(live)
+        assert est.params["greedy_r"] == greedy_maximal_matching(reference)
 
 
-def test_dynamic_sample_honours_capacity_override():
+def test_dynamic_overflow_forces_the_alg1_branch():
     g = generate_union_of_forests(300, 1, seed=7000)
     st = generate_dynamic_stream(g, 0.5, seed=1)
-    est = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0)
-    # level 0 keeps every live edge, so the sample ends as the final graph
-    assert est.params["capacity"] == 4 * est.params["t"] ** 2
-    assert (est.params["sample_level"], est.params["sample_size"]) == (0, g.m)
+    kept = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0)
+    assert kept.params["capacity"] == 4 * kept.params["t"] ** 2
+    assert kept.params["greedy_r"] is not None
     est = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0, capacity_override=50)
     assert est.params["capacity"] == 50
-    assert est.params["sample_level"] >= 1
-    assert 0 < est.params["sample_size"] <= 50
-    assert est.params["repairs"] > 0
+    assert est.params["greedy_r"] is None
+    assert est.params["branch"] == "alg1"
+    assert est.value == est.params["alg1_value"] == kept.params["alg1_value"]
     with pytest.raises(ConfigError):
         dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0, capacity_override=0)
 
 
-def test_dynamic_sampled_regime_lands_in_the_c10_window():
+def test_dynamic_overflow_on_few_large_stars_takes_the_exact_alg1_branch():
+    # fewer than t stars, so the greedy side would decide, but more live edges
+    # than the capacity: the degree sampler answers, and at p = 1 it counts
+    # each high-degree centre once
+    g = generate_star_forest(10, 60)
+    m_star = maximum_matching_size(g)
+    st = generate_dynamic_stream(g, 0.5, seed=0)
+    for seed in range(5):
+        est = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=seed, capacity_override=100)
+        assert m_star == 10 < est.params["t"]
+        assert g.m > est.params["capacity"]
+        assert est.params["p"] == 1.0
+        assert est.params["branch"] == "alg1"
+        assert est.value == 10 == m_star
+
+
+def test_dynamic_overflowed_runs_land_in_the_c10_window():
     from arbormatch import forest_matching_size
 
     mu, c, epsilon = 3, 1, 0.5
@@ -454,8 +429,6 @@ def test_dynamic_sampled_regime_lands_in_the_c10_window():
             est = dynamic_estimate(
                 st, c=c, mu=mu, epsilon=epsilon, seed=seed, capacity_override=40
             )
-            assert est.params["sample_level"] >= 1
-            assert est.params["branch"] == "greedy"  # the sample's matching decides
             runs += 1
             if (1 - epsilon) * m_star <= est.value <= (1 + epsilon) * beta * m_star:
                 hits += 1
@@ -503,8 +476,8 @@ PINNED_ESTIMATOR_DIGESTS = {
     "alg4 tau=0.5": "2ff78d8fb00383a967254fb80593146ddc6e175b0db40dfcad0e04871a5a8146",
     "logspace tau=None": "efb44e5537402c659889cbcee65fd6311f9b749a5142f21b28a1617a7c39e80a",
     "logspace tau=0.5": "e11d1575260a479e05616b56497d22ed916de03351cf649bb7e03b71f8beff7b",
-    "dynamic capacity=None": "44c211960650dbd5700284fbc22fa0ab98bbc02e97932dc0b1a42c1f3fe7e068",
-    "dynamic capacity=30": "d3b4b45d312ee857ad8181e64e14c680fd2bb843e13a7dc4758acb0d0e927271",
+    "dynamic capacity=None": "7c6b23745a36860fa273f2b509f08a42293cb6cde837655542c74ab5db04469f",
+    "dynamic capacity=30": "1ee45b6ee26d649855cafaa141a8654aa7093c2f899527309be3817ff4bed5d8",
 }
 
 

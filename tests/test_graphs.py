@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from arbormatch import (
@@ -148,6 +151,23 @@ def test_matching_agrees_with_subset_dp_beyond_brute_force_cap(rng):
         assert maximum_matching_size(g) == subset_dp_matching_size(g)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run for ``seconds`` of wall
+    time, so a search that never ends fails the test instead of hanging it
+    (SIGALRM: POSIX only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_matching_where_state_left_by_an_earlier_search_misleads():
     # A search that keeps the previous root's "used" marks skips re-queueing
     # a blossom vertex in the first graph and finds 6, not 7; one that keeps
@@ -184,7 +204,9 @@ def test_matching_where_state_left_by_an_earlier_search_misleads():
     for n, edges, expected in cases:
         g = build_graph(n, edges)
         assert subset_dp_matching_size(g) == expected
-        assert maximum_matching_size(g) == expected
+        with _deadline(5):
+            size = maximum_matching_size(g)
+        assert size == expected
 
 
 def _pendant_cascade(rng, kind):
