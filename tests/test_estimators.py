@@ -276,7 +276,9 @@ def test_alg2_deterministic():
 
 
 @pytest.mark.parametrize("algorithm, ceiling", [
-    ("alg1-p1", 200), ("alg1-p0.1", 110), ("alg2", 170), ("dynamic", 180),
+    ("alg1-p1", 200), ("alg1-p0.1", 110), ("alg2", 170),
+    # 270 held the hash-and-level edge sample; the live-edge set meets 180
+    ("dynamic", 270), ("dynamic", 180),
 ])
 def test_degree_samplers_stay_under_a_bytes_per_space_item_ceiling(algorithm, ceiling):
     # next to alg4's 64 B/item: a stored edge costs a set entry at each
