@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 violation or failed estimate, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -57,20 +58,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ConfigError("--alpha is required when --stream is given")
         check_alpha(args.alpha)
     g = parse_graph(_read(args.graph), c_declared=args.c)
-    report = characterize(g, args.mu)
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "degeneracy": g.degeneracy,
-        "mu": report.mu,
-        "m_star": report.m_star,
-        "h_mu": report.h_mu,
-        "s_mu": report.s_mu,
-        "m_mu": report.m_mu,
-        "n_l": report.n_l,
-    }
     if args.stream is not None:
         stream = parse_stream(_read(args.stream))
+        # m events that leave the graph's m edges live: each edge inserted once, no delete
+        if (stream.n, len(stream.events)) != (g.n, g.m) or stream.live_edges() != set(g.edges):
+            raise ConfigError(f"--stream {args.stream} is not a stream of the graph's edges")
+    payload = {"n": g.n, "m": g.m, "degeneracy": g.degeneracy}
+    payload.update(dataclasses.asdict(characterize(g, args.mu)))
+    if args.stream is not None:
         payload["alpha"] = args.alpha
         payload["e_alpha"] = len(offline_alpha_good_set(stream, args.alpha))
     print(json.dumps(payload, sort_keys=True))

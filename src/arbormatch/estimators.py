@@ -32,9 +32,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, ConfigError, HasDeletions
+from .errors import ConfigError, HasDeletions
 from .graphs import greedy_maximal_matching
-from .streams import DELETE, INSERT, EdgeStream, StreamEvent
+from .streams import DELETE, INSERT, EdgeStream, StreamEvent, check_dynamic_budget
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -521,9 +521,6 @@ def estimate_matching_logspace(
 # ---------------------------------------------------------------------------
 
 
-DYNAMIC_BUDGET_FACTOR = 4  # allowed stream length: 4*c*n events
-
-
 def dynamic_greedy_cutoff(n: int, c: int, epsilon: float, beta: float) -> int:
     """Cutoff t = ceil((8*beta*n*c/eps^2)^(1/3)) for the insert/delete variant."""
     return math.ceil((8.0 * beta * n * c / (epsilon * epsilon)) ** (1.0 / 3.0))
@@ -551,11 +548,7 @@ def dynamic_estimate(
     overflow the set.
     """
     n = stream.n
-    budget = DYNAMIC_BUDGET_FACTOR * c * n
-    if len(stream.events) > budget:
-        raise BudgetExceeded(
-            f"stream of {len(stream.events)} events exceeds the budget {budget}"
-        )
+    check_dynamic_budget(len(stream.events), c, n)
     t, params = _cutoff_and_sampler(n, c, mu, epsilon, dynamic_greedy_cutoff)
     capacity = 4 * t * t if capacity_override is None else capacity_override
     if capacity < 1:

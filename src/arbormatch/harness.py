@@ -272,21 +272,21 @@ def _trials(
         )
 
 
-def run_experiment(config: ExperimentConfig, csv_path: str | None = None) -> list[TrialRecord]:
-    """Run config.trials seeded trials; records stream to CSV as produced.
+def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
+    """Run config.trials seeded trials and return their records.
 
-    Trial i uses seed seed0+i for the graph (unless graph-seed pins one), the
-    stream ordering and the estimator, so identical configs give identical
-    records (the wall-time column aside).
+    When config.output is set, each record is also written to that CSV path
+    as it is produced. Trial i uses seed seed0+i for the graph (unless
+    graph-seed pins one), the stream ordering and the estimator, so identical
+    configs give identical records (the wall-time column aside).
     """
     validate_config(config)
-    csv_path = csv_path or config.output
     fixed = None
     if config.graph_seed is not None:
         fixed_graph = GENERATORS[config.generator](config, config.graph_seed)
         fixed = (fixed_graph, maximum_matching_size(fixed_graph))
     trials = _trials(config, fixed)
-    return list(trials) if csv_path is None else emit_csv(trials, csv_path)
+    return list(trials) if config.output is None else emit_csv(trials, config.output)
 
 
 def summarize_ratios(
@@ -357,26 +357,23 @@ def lemma_alpha_threshold(c: int, mu: int) -> float:
     return max(mu - 1.0, 4.0 * c * (mu + 1) / (mu + 1 - 2 * c))
 
 
+def _at_most(name: str, left: str, lhs: float, right: str, rhs: float) -> LemmaCheck:
+    """The check ``lhs <= rhs``, witnessed as ``left=lhs <= right=rhs`` (floats to 4 places)."""
+    a, b = (f"{x:.4f}" if isinstance(x, float) else str(x) for x in (lhs, rhs))
+    return LemmaCheck(name, lhs <= rhs, f"{left}={a} <= {right}={b}")
+
+
 def degree_threshold_checks(
     c: int, mu: int, m_star: int, h_mu: int, m_mu: int
 ) -> list[LemmaCheck]:
     """High-degree-count bound and the two-sided matching sandwich."""
     factor = 2.0 * mu / (mu - 2 * c + 1)
     return [
-        LemmaCheck(
-            "high-degree-count",
-            h_mu <= factor * m_star,
-            f"h_mu={h_mu} <= {factor:.4f}*m_star={factor * m_star:.4f}",
-        ),
-        LemmaCheck(
-            "sandwich-lower",
-            m_star <= h_mu + m_mu,
-            f"m_star={m_star} <= h_mu+m_mu={h_mu + m_mu}",
-        ),
-        LemmaCheck(
-            "sandwich-upper",
-            h_mu + m_mu <= (factor + 1.0) * m_star,
-            f"h_mu+m_mu={h_mu + m_mu} <= {(factor + 1.0):.4f}*m_star={(factor + 1.0) * m_star:.4f}",
+        _at_most("high-degree-count", "h_mu", h_mu, f"{factor:.4f}*m_star", factor * m_star),
+        _at_most("sandwich-lower", "m_star", m_star, "h_mu+m_mu", h_mu + m_mu),
+        _at_most(
+            "sandwich-upper", "h_mu+m_mu", h_mu + m_mu,
+            f"{factor + 1.0:.4f}*m_star", (factor + 1.0) * m_star,
         ),
     ]
 
@@ -393,38 +390,31 @@ def alpha_good_checks(
 ) -> list[LemmaCheck]:
     """Two-sided window on the surviving-edge count, plus the finer lower bound."""
     coeff = 0.5 - c / (mu + 1.0)
+    upper = 1.25 * alpha + 2.0
     return [
-        LemmaCheck(
-            f"alpha-good-lower [{label}]",
-            coeff * m_star <= e_alpha,
-            f"{coeff:.4f}*m_star={coeff * m_star:.4f} <= e_alpha={e_alpha}",
+        _at_most(
+            f"alpha-good-lower [{label}]", f"{coeff:.4f}*m_star", coeff * m_star,
+            "e_alpha", e_alpha,
         ),
-        LemmaCheck(
-            f"alpha-good-intermediate [{label}]",
-            coeff * h_mu + s_mu <= e_alpha,
-            f"{coeff:.4f}*h_mu+s_mu={coeff * h_mu + s_mu:.4f} <= e_alpha={e_alpha}",
+        _at_most(
+            f"alpha-good-intermediate [{label}]", f"{coeff:.4f}*h_mu+s_mu",
+            coeff * h_mu + s_mu, "e_alpha", e_alpha,
         ),
-        LemmaCheck(
-            f"alpha-good-upper [{label}]",
-            e_alpha <= (1.25 * alpha + 2.0) * m_star,
-            f"e_alpha={e_alpha} <= {(1.25 * alpha + 2.0):.4f}*m_star={(1.25 * alpha + 2.0) * m_star:.4f}",
+        _at_most(
+            f"alpha-good-upper [{label}]", "e_alpha", e_alpha,
+            f"{upper:.4f}*m_star", upper * m_star,
         ),
     ]
 
 
 def triple_alpha_checks(c: int, m_star: int, e_6c: int, label: str) -> list[LemmaCheck]:
     """m_star <= 3*e_{6c} <= (22.5c+6)*m_star for the canonical threshold 6c."""
-    upper = (22.5 * c + 6.0) * m_star
+    factor = 22.5 * c + 6.0
     return [
-        LemmaCheck(
-            f"triple-alpha-lower [{label}]",
-            m_star <= 3 * e_6c,
-            f"m_star={m_star} <= 3*e_6c={3 * e_6c}",
-        ),
-        LemmaCheck(
-            f"triple-alpha-upper [{label}]",
-            3 * e_6c <= upper,
-            f"3*e_6c={3 * e_6c} <= {upper:.4f}",
+        _at_most(f"triple-alpha-lower [{label}]", "m_star", m_star, "3*e_6c", 3 * e_6c),
+        _at_most(
+            f"triple-alpha-upper [{label}]", "3*e_6c", 3 * e_6c,
+            f"{factor:.4f}*m_star", factor * m_star,
         ),
     ]
 
@@ -432,16 +422,8 @@ def triple_alpha_checks(c: int, m_star: int, e_6c: int, label: str) -> list[Lemm
 def forest_window_checks(m_star: int, e_1: int, label: str) -> list[LemmaCheck]:
     """On forests the survivor count at threshold 1 sits in [m_star, 2*m_star]."""
     return [
-        LemmaCheck(
-            f"forest-window-lower [{label}]",
-            m_star <= e_1,
-            f"m_star={m_star} <= e_1={e_1}",
-        ),
-        LemmaCheck(
-            f"forest-window-upper [{label}]",
-            e_1 <= 2 * m_star,
-            f"e_1={e_1} <= 2*m_star={2 * m_star}",
-        ),
+        _at_most(f"forest-window-lower [{label}]", "m_star", m_star, "e_1", e_1),
+        _at_most(f"forest-window-upper [{label}]", "e_1", e_1, "2*m_star", 2 * m_star),
     ]
 
 

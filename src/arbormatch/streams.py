@@ -268,6 +268,13 @@ def generate_random_tree(n: int, seed: int) -> Graph:
     return build_graph(n, pruefer_to_edges(seq), c_declared=1)
 
 
+def check_dynamic_budget(events: int, c: int, n: int) -> None:
+    """Raise BudgetExceeded when a dynamic stream runs past 4*c*n events."""
+    budget = 4 * c * n
+    if events > budget:
+        raise BudgetExceeded(f"stream of {events} events exceeds the budget {budget}")
+
+
 def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> EdgeStream:
     """Insert/delete stream whose final live graph is exactly g.
 
@@ -297,12 +304,8 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     if g.degeneracy > cap:
         raise GraphError("graph degeneracy already exceeds twice the arboricity bound")
     m = g.m
-    budget = 4 * eff_c * g.n
     target_decoys = int(delete_fraction * m)
-    if m + 2 * target_decoys > budget:
-        raise BudgetExceeded(
-            f"stream of {m + 2 * target_decoys} events exceeds the budget {budget}"
-        )
+    check_dynamic_budget(m + 2 * target_decoys, eff_c, g.n)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     real = list(g.edges)

@@ -161,3 +161,21 @@ def test_oracle_rejects_bad_alpha(tmp_path, capsys, alpha):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "alpha must be >= 1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("stream_text", [
+    "n 6\n+ 0 1\n+ 1 2\n+ 2 3\n+ 3 4\n",  # another n
+    "n 5\n+ 0 1\n+ 1 2\n+ 2 3\n+ 2 4\n",  # one edge swapped
+    "n 5\n+ 0 1\n+ 1 2\n+ 2 3\n",  # one edge missing
+    "n 5\n+ 0 1\n+ 0 4\n+ 1 2\n- 0 4\n+ 2 3\n+ 3 4\n",  # live edges match, events do not
+], ids=["other-n", "edge-swapped", "edge-missing", "churn"])
+def test_oracle_rejects_a_stream_of_another_graph(tmp_path, capsys, stream_text):
+    gpath = tmp_path / "g.txt"
+    spath = tmp_path / "s.txt"
+    gpath.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n")
+    spath.write_text(stream_text)
+    code = main(["oracle", str(gpath), "--mu", "3", "--stream", str(spath), "--alpha", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not a stream of the graph" in captured.err
+    assert captured.out == ""

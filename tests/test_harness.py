@@ -10,6 +10,7 @@ from arbormatch import (
     check_lemmas,
     emit_csv,
     generate_random_tree,
+    generate_star_forest,
     generate_union_of_forests,
     parse_config,
     run_experiment,
@@ -96,9 +97,11 @@ def test_parse_config_rejects_c_below_one(generator, estimator):
 
 def test_run_experiment_checks_parameters_before_writing_csv(tmp_path):
     out = tmp_path / "out.csv"
-    config = ExperimentConfig(generator="random-tree", n=20, c=0, estimator="logspace")
+    config = ExperimentConfig(
+        generator="random-tree", n=20, c=0, estimator="logspace", output=str(out)
+    )
     with pytest.raises(ConfigError, match="c must be >= 1"):
-        run_experiment(config, csv_path=str(out))
+        run_experiment(config)
     assert not out.exists()
 
 
@@ -122,8 +125,10 @@ def test_run_experiment_smoke():
 def test_run_experiment_is_deterministic_modulo_walltime(tmp_path):
     config = parse_config(GOOD_CONFIG)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_experiment(config, csv_path=str(p1))
-    run_experiment(config, csv_path=str(p2))
+    config.output = str(p1)
+    run_experiment(config)
+    config.output = str(p2)
+    run_experiment(config)
 
     def strip_ms(path):
         return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
@@ -291,6 +296,36 @@ def test_violations_are_reported_with_witnesses():
     assert not checks[0].holds
     checks = forest_window_checks(m_star=5, e_1=100, label="fab")
     assert not checks[1].holds
+
+
+def _witness_sides(witness: str) -> tuple[float, float]:
+    """The two numbers of a witness ``L=a <= R=b``."""
+    left, right = witness.split(" <= ")
+    return float(left.rsplit("=", 1)[1]), float(right.rsplit("=", 1)[1])
+
+
+def test_every_witness_states_the_comparison_it_reports():
+    checks = []
+    for g in (
+        generate_random_tree(60, seed=1),
+        generate_union_of_forests(60, 2, seed=2),
+        generate_union_of_forests(60, 3, seed=3),
+        generate_star_forest(5, 3),
+    ):
+        c = g.c_declared
+        checks += check_lemmas(g, orderings=3, mu=2 * c + 1, seed=4).checks
+    # the fabricated numbers of test_violations_are_reported_with_witnesses
+    checks += degree_threshold_checks(c=1, mu=3, m_star=1, h_mu=50, m_mu=0)
+    checks += alpha_good_checks(
+        c=1, mu=3, alpha=8.0, m_star=100, h_mu=0, s_mu=0, e_alpha=1, label="fab"
+    )
+    checks += triple_alpha_checks(c=1, m_star=10, e_6c=1, label="fab")
+    checks += forest_window_checks(m_star=5, e_1=100, label="fab")
+    assert {check.holds for check in checks} == {True, False}
+    for check in checks:
+        a, b = _witness_sides(check.witness)
+        if abs(a - b) >= 1e-4:  # the witness rounds floats to 4 places
+            assert check.holds == (a <= b), check
 
 
 def test_report_formatting_flags_violations():
