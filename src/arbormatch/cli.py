@@ -11,7 +11,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import BudgetExceeded, ConfigError, ParseError
+from .errors import BudgetExceeded, ConfigError
 from .estimators import check_alpha
 from .graphs import (
     characterize,
@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, ConfigError, ParseError, ValueError) as exc:
+    except (BudgetExceeded, ValueError) as exc:  # ConfigError and ParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -32,9 +32,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, HasDeletions
+from .errors import ConfigError
 from .graphs import greedy_maximal_matching
-from .streams import DELETE, INSERT, EdgeStream, StreamEvent, check_dynamic_budget
+from .streams import INSERT, EdgeStream, StreamEvent, check_dynamic_budget
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -44,19 +44,21 @@ if TYPE_CHECKING:
 class Estimate:
     """Result of one estimator run.
 
-    ``value`` is None when the run failed (failure is a value, not an error;
-    callers decide whether to retry with a fresh seed). ``params`` is the
-    per-run record: the effective parameters plus per-run diagnostics (the
-    README lists its keys per estimator); ``trace`` is filled only by alg4's
-    ``collect_trace`` hook.
+    ``value`` is None when the run failed, which ``failed`` reports (failure
+    is a value, not an error; callers decide whether to retry with a fresh
+    seed). ``params`` is the per-run record: the effective parameters plus
+    per-run diagnostics (the README lists its keys per estimator); ``trace``
+    is filled only by alg4's ``collect_trace`` hook.
     """
 
     value: float | int | None
     space_peak: int
-    seed: int
     params: dict
-    failed: bool = False
     trace: dict | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.value is None
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +208,13 @@ def alg1_estimate(stream: "EdgeStream", params: Alg1Params, seed: int) -> Estima
     Returns s = (|S_1| + |S_2|) / p; an empty sample simply yields 0. Items
     only grow on inserts, so the final count is the peak.
     """
+    stream.require_insert_only()
     state = Alg1State(stream.n, params, seed)
-    for kind, u, v in stream.events:
-        if kind == DELETE:
-            raise HasDeletions("stream contains delete events")
+    for _, u, v in stream.events:
         state.apply_insert(u, v)
     return Estimate(
         value=state.estimate(),
         space_peak=state.items(),
-        seed=seed,
         params={
             "algorithm": "alg1",
             "mu": params.mu,
@@ -236,16 +236,19 @@ def _cutoff_and_sampler(
     n: int, c: int, mu: int, epsilon: float, cutoff: Callable[[int, int, float, float], int]
 ) -> tuple[int, Alg1Params]:
     """The greedy cutoff t = cutoff(n, c, epsilon, beta) and the degree
-    sampler's parameters at p = min(1, 8/(lam^2 t)); validates mu/c/epsilon."""
+    sampler's parameters at p = min(1, 8/(lam^2 t)); validates mu/c/epsilon.
+
+    t is at least 1, as the formula gives for every n >= 1; at n = 0 the
+    empty greedy matching then decides, with value 0."""
     probe = Alg1Params(mu=mu, p=1.0, c=c, epsilon=epsilon)
-    t = cutoff(n, c, epsilon, probe.beta)
+    t = max(1, cutoff(n, c, epsilon, probe.beta))
     p = min(1.0, 8.0 / (probe.lam * probe.lam * t))
     return t, Alg1Params(mu=mu, p=p, c=c, epsilon=epsilon)
 
 
 def _composite(
     algorithm: str, params: Alg1Params, t: int, r: int | None,
-    sampler_estimate: Callable[[], float], space_peak: int, seed: int, **extra,
+    sampler_estimate: Callable[[], float], space_peak: int, **extra,
 ) -> Estimate:
     """alg2's post-processing, shared with the insert/delete variant: twice the
     greedy matching size r while it stays below t, else ``sampler_estimate()``;
@@ -258,7 +261,6 @@ def _composite(
     return Estimate(
         value=value,
         space_peak=space_peak,
-        seed=seed,
         params={
             "algorithm": algorithm,
             "mu": params.mu,
@@ -283,19 +285,18 @@ def alg2_estimate(stream: "EdgeStream", c: int, mu: int, epsilon: float, seed: i
     is returned.
     """
     t, params = _cutoff_and_sampler(stream.n, c, mu, epsilon, alg2_greedy_cutoff)
+    stream.require_insert_only()
     state = Alg1State(stream.n, params, seed)
     matched: set[int] = set()
     r = 0
-    for kind, u, v in stream.events:
-        if kind == DELETE:
-            raise HasDeletions("stream contains delete events")
+    for _, u, v in stream.events:
         if r < t and u not in matched and v not in matched:
             matched.add(u)
             matched.add(v)
             r += 1
         state.apply_insert(u, v)
     # both sides only grow on inserts, so the final count is the peak
-    return _composite("alg2", params, t, r, state.estimate, state.items() + r, seed)
+    return _composite("alg2", params, t, r, state.estimate, state.items() + r)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +362,7 @@ def alg4_estimate_e_alpha(
     high-marks and ``terminated`` flags.
     """
     check_survivor_params(alpha, c, epsilon)
+    stream.require_insert_only()
     n = stream.n
     num_levels = alg4_num_levels(n, c, epsilon)
     tau = alg4_level_cap(n, alpha, c, epsilon) if tau_override is None else tau_override
@@ -388,9 +390,7 @@ def alg4_estimate_e_alpha(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for pos, (kind, u, v) in enumerate(stream.events, 1):
-            if kind == DELETE:
-                raise HasDeletions("stream contains delete events")
+        for pos, (_, u, v) in enumerate(stream.events, 1):
             # feed existing tests before this event's own sampling decision
             for x in (u, v):
                 tests = tests_at(x)
@@ -466,7 +466,6 @@ def alg4_estimate_e_alpha(
     return Estimate(
         value=value,
         space_peak=peak,
-        seed=seed,
         params={
             "algorithm": "alg4",
             "alpha": alpha,
@@ -477,7 +476,6 @@ def alg4_estimate_e_alpha(
             "num_levels": num_levels,
             "selected_level": selected,
         },
-        failed=selected is None,
         trace=trace,
     )
 
@@ -511,9 +509,9 @@ def estimate_matching_logspace(
             params["attempts"] = attempt + 1
             for key in ("selected_level", "num_levels", "tau"):
                 params[key] = est.params[key]
-            return Estimate(value=3 * est.value, space_peak=peak, seed=seed, params=params)
+            return Estimate(value=3 * est.value, space_peak=peak, params=params)
     params["attempts"] = LOGSPACE_MAX_ATTEMPTS
-    return Estimate(value=None, space_peak=peak, seed=seed, params=params, failed=True)
+    return Estimate(value=None, space_peak=peak, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -582,5 +580,5 @@ def dynamic_estimate(
     r = None if live is None else greedy_maximal_matching(EdgeStream(n, tuple(live)))
     s = state.estimate()
     return _composite(
-        "dynamic", params, t, r, lambda: s, peak, seed, capacity=capacity, alg1_value=s
+        "dynamic", params, t, r, lambda: s, peak, capacity=capacity, alg1_value=s
     )

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import (
     DuplicateEdge,
     GraphError,
-    HasDeletions,
     ParseError,
     SelfLoop,
     TooLarge,
@@ -62,15 +61,12 @@ class Graph:
         """The module-level ``degeneracy`` of this graph, computed once."""
         return degeneracy(self)
 
+    @cached_property
     def adjacency(self) -> list[list[int]]:
         """Adjacency lists, neighbor order following edge construction order.
 
         Built once per graph and shared by every caller: read-only.
         """
-        return self._adjacency
-
-    @cached_property
-    def _adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -176,7 +172,7 @@ def maximum_matching_size(g: Graph) -> int:
     n = g.n
     if n == 0 or not g.edges:
         return 0
-    adj = g.adjacency()
+    adj = g.adjacency
     match = [-1] * n
     free = list(map(len, adj))  # free neighbours of each free vertex
     ones = [v for v in range(n - 1, -1, -1) if free[v] == 1]  # stack, pops in vertex order
@@ -385,7 +381,7 @@ def degeneracy(g: Graph) -> int:
     n = g.n
     if n == 0 or not g.edges:
         return 0
-    adj = g.adjacency()
+    adj = g.adjacency
     deg = list(g.degrees)
     buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for v in range(n):
@@ -470,15 +466,12 @@ def later_degree_profile(stream: "EdgeStream") -> list[int]:
     pass keeps running incidence counts, so the profile costs O(m). Raises
     HasDeletions on streams with delete events.
     """
-    from .streams import DELETE
-
+    stream.require_insert_only()
     events = stream.events
     later: dict[int, int] = {}
     out = [0] * len(events)
     for i in range(len(events) - 1, -1, -1):
-        kind, u, v = events[i]
-        if kind == DELETE:
-            raise HasDeletions("stream contains delete events")
+        _, u, v = events[i]
         out[i] = max(later.get(u, 0), later.get(v, 0))
         later[u] = later.get(u, 0) + 1
         later[v] = later.get(v, 0) + 1
@@ -496,13 +489,10 @@ def greedy_maximal_matching(stream: "EdgeStream") -> int:
     """Size of the maximal matching built by admitting each edge whose
     endpoints are both still unmatched, in stream order. Raises HasDeletions
     on streams with delete events."""
-    from .streams import DELETE
-
+    stream.require_insert_only()
     taken: set[int] = set()
     size = 0
-    for kind, u, v in stream.events:
-        if kind == DELETE:
-            raise HasDeletions("stream contains delete events")
+    for _, u, v in stream.events:
         if u not in taken and v not in taken:
             taken.add(u)
             taken.add(v)

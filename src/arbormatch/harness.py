@@ -289,25 +289,17 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     return list(trials) if config.output is None else emit_csv(trials, config.output)
 
 
-def summarize_ratios(
-    records: list[TrialRecord],
-    lower: float | None = None,
-    upper: float | None = None,
-) -> dict:
-    """Min/median/max ratio plus the in-window success fraction when bounds are given."""
+def summarize_ratios(records: list[TrialRecord]) -> dict:
+    """Trial and failure counts, plus min/median/max ratio when any trial has one."""
     ratios = [r.ratio for r in records if r.ratio is not None]
     summary: dict = {
         "trials": len(records),
         "fails": sum(1 for r in records if r.failed),
-        "with_ratio": len(ratios),
     }
     if ratios:
         summary["ratio_min"] = min(ratios)
         summary["ratio_median"] = statistics.median(ratios)
         summary["ratio_max"] = max(ratios)
-        if lower is not None and upper is not None:
-            inside = sum(1 for x in ratios if lower <= x <= upper)
-            summary["success_fraction"] = inside / len(records)
     return summary
 
 
@@ -335,13 +327,6 @@ class LemmaReport:
     @property
     def passed(self) -> bool:
         return all(c.holds for c in self.checks)
-
-    @property
-    def first_violation(self) -> LemmaCheck | None:
-        for c in self.checks:
-            if not c.holds:
-                return c
-        return None
 
     def format(self) -> str:
         lines = [f"{self.graph_label}: mu={self.mu} alpha={self.alpha}"]

@@ -16,6 +16,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from operator import itemgetter
 
 from .errors import (
     BudgetExceeded,
@@ -57,17 +58,11 @@ class EdgeStream:
     events: tuple[StreamEvent, ...]
     c_declared: int | None = None
 
-    def has_deletions(self) -> bool:
-        return any(kind == DELETE for kind, _, _ in self.events)
-
-    def insert_edges(self) -> list[Edge]:
-        """Edges of an insert-only stream in order; raises HasDeletions otherwise."""
-        edges: list[Edge] = []
-        for kind, u, v in self.events:
-            if kind == DELETE:
-                raise HasDeletions("stream contains delete events")
-            edges.append((u, v))
-        return edges
+    def require_insert_only(self) -> None:
+        """Raise HasDeletions if any event is a delete; every estimator and
+        stream oracle but the insert/delete estimator calls this first."""
+        if DELETE in map(itemgetter(0), self.events):
+            raise HasDeletions("stream contains delete events")
 
     def live_edges(self) -> set[Edge]:
         """Edge set left after replaying every event."""

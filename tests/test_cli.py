@@ -54,7 +54,7 @@ def test_estimate_failure_sets_exit_code(tmp_path, capsys, monkeypatch):
 
     spath = tmp_path / "s.txt"
     spath.write_text("n 2\n+ 0 1\n")
-    failed = Estimate(value=None, space_peak=0, seed=0, params={}, failed=True)
+    failed = Estimate(value=None, space_peak=0, params={})
     monkeypatch.setattr(harness, "estimate_matching_logspace", lambda *a, **k: failed)
     code = main(["estimate", str(spath), "--algorithm", "logspace", "--c", "1"])
     assert code == 1

@@ -7,7 +7,6 @@ import pytest
 
 from arbormatch import (
     Alg1Params,
-    Alg1State,
     BudgetExceeded,
     ConfigError,
     EdgeStream,
@@ -24,9 +23,12 @@ from arbormatch import (
     generate_union_of_forests,
     greedy_maximal_matching,
     insert_event,
+    later_degree_profile,
     maximum_matching_size,
+    offline_alpha_good_set,
     order_stream,
 )
+from arbormatch.estimators import Alg1State
 
 from conftest import path_graph, random_graph, reference_split, star_graph
 
@@ -88,11 +90,44 @@ def test_alg1_empty_stream():
     assert alg1_estimate(st, params, seed=1).value == 0
 
 
-def test_alg1_rejects_deletions():
-    st = EdgeStream(n=3, events=(insert_event(0, 1), delete_event(0, 1)))
-    params = Alg1Params(mu=3, p=1.0, c=1, epsilon=0.5)
-    with pytest.raises(HasDeletions):
-        alg1_estimate(st, params, seed=0)
+INSERT_ONLY_CONSUMERS = {
+    "alg1": lambda st: alg1_estimate(st, Alg1Params(mu=3, p=1.0, c=1, epsilon=0.5), 0),
+    "alg2": lambda st: alg2_estimate(st, c=1, mu=3, epsilon=0.5, seed=0),
+    "alg4": lambda st: alg4_estimate_e_alpha(st, alpha=1, c=1, epsilon=0.5, seed=0),
+    "logspace": lambda st: estimate_matching_logspace(st, c=1, epsilon=0.5, seed=0),
+    "later_degree_profile": later_degree_profile,
+    "offline_alpha_good_set": lambda st: offline_alpha_good_set(st, 1),
+    "greedy_maximal_matching": greedy_maximal_matching,
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(INSERT_ONLY_CONSUMERS))
+def test_insert_only_consumers_reject_a_final_delete(consumer):
+    st = _stream(4, [(0, 1), (1, 2), (2, 3)])
+    INSERT_ONLY_CONSUMERS[consumer](st)
+    bad = EdgeStream(n=4, events=(*st.events, delete_event(0, 1)))
+    with pytest.raises(HasDeletions, match="^stream contains delete events$"):
+        INSERT_ONLY_CONSUMERS[consumer](bad)
+
+
+def test_bad_parameters_win_over_deletes():
+    bad = EdgeStream(n=2, events=(insert_event(0, 1), delete_event(0, 1)))
+    with pytest.raises(ConfigError):
+        alg2_estimate(bad, c=2, mu=4, epsilon=0.5, seed=0)
+    with pytest.raises(ConfigError):
+        alg4_estimate_e_alpha(bad, alpha=0, c=1, epsilon=0.5, seed=0)
+
+
+def test_every_estimator_returns_zero_on_an_empty_vertex_set():
+    st = EdgeStream(0, ())
+    runs = [
+        alg1_estimate(st, Alg1Params(mu=3, p=0.5, c=1, epsilon=0.5), 0),
+        alg2_estimate(st, c=1, mu=3, epsilon=0.5, seed=0),
+        alg4_estimate_e_alpha(st, alpha=6, c=1, epsilon=0.5, seed=0),
+        estimate_matching_logspace(st, c=1, epsilon=0.5, seed=0),
+        dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0),
+    ]
+    assert [(est.value, est.space_peak, est.failed) for est in runs] == [(0, 0, False)] * 5
 
 
 def test_alg1_deterministic():
@@ -223,7 +258,7 @@ def test_alg1_and_alg2_space_peak_is_the_largest_per_event_count(rng):
         params = Alg1Params(mu=3, p=0.5, c=1, epsilon=0.5)
         state = Alg1State(g.n, params, seed)
         peak = state.items()
-        for u, v in st.insert_edges():
+        for _, u, v in st.events:
             state.apply_insert(u, v)
             peak = max(peak, state.items())
         assert alg1_estimate(st, params, seed).space_peak == peak
@@ -233,7 +268,7 @@ def test_alg1_and_alg2_space_peak_is_the_largest_per_event_count(rng):
         state = Alg1State(g.n, Alg1Params(mu=3, p=est.params["p"], c=1, epsilon=0.5), seed)
         matched, r = set(), 0
         peak = state.items()
-        for u, v in st.insert_edges():
+        for _, u, v in st.events:
             if r < t and u not in matched and v not in matched:
                 matched |= {u, v}
                 r += 1

@@ -7,7 +7,6 @@ from arbormatch import (
     DuplicateEdge,
     Graph,
     GraphError,
-    HasDeletions,
     ParseError,
     SelfLoop,
     TooLarge,
@@ -52,8 +51,8 @@ def test_build_graph_basic():
 
 def test_adjacency_is_built_once_per_graph():
     g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
-    assert g.adjacency() is g.adjacency()  # degeneracy and the matcher share it
-    assert g.adjacency() == [[1, 3], [0, 2], [1], [0]]
+    assert g.adjacency is g.adjacency  # degeneracy and the matcher share it
+    assert g.adjacency == [[1, 3], [0, 2], [1], [0]]
 
 
 def test_build_graph_rejects_duplicates():
@@ -425,17 +424,11 @@ def test_alpha_good_path_in_order():
     assert offline_alpha_good_set(s, 1) == {1, 2, 3}
 
 
-def test_alpha_good_rejects_deletions():
-    s = EdgeStream(n=3, events=(("+", 0, 1), ("-", 0, 1)))
-    with pytest.raises(HasDeletions):
-        offline_alpha_good_set(s, 1)
-
-
 def test_alpha_good_matches_naive_reference(rng):
     for seed in range(40):
         g = random_graph(rng, rng.randint(2, 10))
         s = order_stream(g, "uniform-random", seed)
-        edges = s.insert_edges()
+        edges = [(u, v) for _, u, v in s.events]
         for alpha in (0, 1, 2, 3.5):
             assert offline_alpha_good_set(s, alpha) == naive_alpha_positions(edges, alpha)
 
@@ -444,12 +437,6 @@ def test_greedy_matching_examples():
     assert greedy_maximal_matching(_insert_stream(4, [(0, 1), (1, 2), (2, 3)])) == 2
     assert greedy_maximal_matching(_insert_stream(4, [(1, 2), (0, 1), (2, 3)])) == 1
     assert greedy_maximal_matching(_insert_stream(2, [(0, 1)])) == 1
-
-
-def test_greedy_matching_rejects_deletions():
-    s = EdgeStream(n=3, events=(("+", 0, 1), ("-", 0, 1)))
-    with pytest.raises(HasDeletions):
-        greedy_maximal_matching(s)
 
 
 def test_greedy_is_within_half_of_maximum(rng):
@@ -463,7 +450,7 @@ def test_greedy_is_within_half_of_maximum(rng):
 def test_prefix_matching_is_monotone(rng):
     for seed in range(10):
         g = random_graph(rng, 8)
-        edges = order_stream(g, "uniform-random", seed).insert_edges()
+        edges = [(u, v) for _, u, v in order_stream(g, "uniform-random", seed).events]
         prev = 0
         for i in range(len(edges) + 1):
             cur = maximum_matching_size(Graph(n=g.n, edges=tuple(edges[:i])))

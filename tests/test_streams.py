@@ -18,11 +18,10 @@ from arbormatch import (
     insert_event,
     order_stream,
     parse_stream,
-    pruefer_to_edges,
     serialize_stream,
 )
 from arbormatch.graphs import Graph
-from arbormatch.streams import OrderingPolicy
+from arbormatch.streams import OrderingPolicy, pruefer_to_edges
 
 from conftest import random_graph, reference_union_of_forests
 
@@ -160,14 +159,13 @@ def test_order_stream_uniform_random_deterministic():
     a = order_stream(g, "uniform-random", seed=9)
     b = order_stream(g, "uniform-random", seed=9)
     assert a == b
-    assert set(a.insert_edges()) == set(g.edges)
-    assert len(a.insert_edges()) == g.m
+    assert sorted((u, v) for _, u, v in a.events) == sorted(g.edges)
 
 
 def test_order_stream_star_by_star_groups_hubs():
     g = generate_star_forest(2, 2)
     s = order_stream(g, "star-by-star")
-    hubs = [min(e) for e in s.insert_edges()]
+    hubs = [u for _, u, _ in s.events]
     assert hubs == sorted(hubs)  # star 0's edges before star 1's
 
 
@@ -175,14 +173,14 @@ def test_order_stream_every_policy_is_a_permutation(rng):
     g = random_graph(rng, 12)
     for policy in OrderingPolicy:
         s = order_stream(g, policy, seed=5)
-        assert sorted(s.insert_edges()) == sorted(g.edges)
+        assert sorted((u, v) for _, u, v in s.events) == sorted(g.edges)
 
 
 def test_centers_first_and_leaves_last_put_hub_edges_early():
     g = generate_star_forest(2, 3)
     for policy in ("centers-first", "leaves-last"):
         s = order_stream(g, policy)
-        assert len(s.insert_edges()) == g.m
+        assert len(s.events) == g.m
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +191,7 @@ def test_centers_first_and_leaves_last_put_hub_edges_early():
 def test_dynamic_stream_zero_fraction_is_insert_only():
     g = generate_union_of_forests(20, 1, seed=1)
     s = generate_dynamic_stream(g, 0.0, seed=2)
-    assert not s.has_deletions()
-    assert set(s.insert_edges()) == set(g.edges)
+    assert sorted(s.events) == sorted(("+", u, v) for u, v in g.edges)
 
 
 def test_dynamic_stream_replay_recovers_graph():
