@@ -27,7 +27,7 @@ from .harness import (
     run_experiment,
     summarize_ratios,
 )
-from .streams import OrderingPolicy, order_stream, parse_stream, serialize_stream
+from .streams import EdgeStream, OrderingPolicy, order_stream, parse_stream, serialize_stream
 
 
 def _read(path: str) -> str:
@@ -73,8 +73,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    check, run = ESTIMATORS[args.algorithm]
-    check(args)
+    run = ESTIMATORS[args.algorithm]
+    run(args, EdgeStream(0, ()), args.seed)  # the parameter check, before the file is read
     est = run(args, parse_stream(_read(args.stream)), args.seed)
     value = "" if est.value is None else est.value
     print(

@@ -321,15 +321,11 @@ def alg4_selection_threshold(n: int, epsilon: float) -> float:
 
 
 def check_alpha(alpha: float) -> None:
-    """The survival threshold alpha must be a number >= 1; raises ConfigError."""
+    """The survival threshold alpha must be a finite number >= 1; raises ConfigError."""
     if alpha is None or not alpha >= 1:  # also rejects NaN
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
-
-
-def check_survivor_params(alpha: float, c: int, epsilon: float) -> None:
-    """Reject parameters the survivor counter cannot run with; raises ConfigError."""
-    _check_c_epsilon(c, epsilon)
-    check_alpha(alpha)
+    if alpha == math.inf:
+        raise ConfigError(f"alpha must be >= 1 and finite, got {alpha}")
 
 
 def alg4_estimate_e_alpha(
@@ -361,7 +357,8 @@ def alg4_estimate_e_alpha(
     trace holds per-level ``started`` and ``survivors`` positions, ``max_live``
     high-marks and ``terminated`` flags.
     """
-    check_survivor_params(alpha, c, epsilon)
+    _check_c_epsilon(c, epsilon)
+    check_alpha(alpha)
     stream.require_insert_only()
     n = stream.n
     num_levels = alg4_num_levels(n, c, epsilon)
@@ -546,8 +543,8 @@ def dynamic_estimate(
     overflow the set.
     """
     n = stream.n
-    check_dynamic_budget(len(stream.events), c, n)
     t, params = _cutoff_and_sampler(n, c, mu, epsilon, dynamic_greedy_cutoff)
+    check_dynamic_budget(len(stream.events), c, n)
     capacity = 4 * t * t if capacity_override is None else capacity_override
     if capacity < 1:
         raise ConfigError(f"the live-edge set needs capacity >= 1, got {capacity}")

@@ -22,7 +22,6 @@ from .estimators import (
     alg2_estimate,
     alg4_estimate_e_alpha,
     check_degree_threshold,
-    check_survivor_params,
     dynamic_estimate,
     estimate_matching_logspace,
 )
@@ -33,6 +32,7 @@ from .graphs import (
     maximum_matching_size,
 )
 from .streams import (
+    EdgeStream,
     OrderingPolicy,
     generate_dynamic_stream,
     generate_random_tree,
@@ -55,45 +55,26 @@ GENERATORS: dict[str, Callable[[Any, int], Graph]] = {
 }
 
 
-def _alg1_params(a: Any) -> Alg1Params:
-    return Alg1Params(mu=a.mu, p=a.p, c=a.c, epsilon=a.epsilon)
-
-
-def _check_greedy_composite(a: Any) -> None:
-    """alg2 and dynamic derive p themselves; mu, c and epsilon follow alg1's rules."""
-    Alg1Params(mu=a.mu, p=1.0, c=a.c, epsilon=a.epsilon)
-
-
-# name -> (check(params), run(params, stream, seed)); check raises ConfigError
-# and runs before any stream is read or built.
-ESTIMATORS: dict[str, tuple[Callable, Callable]] = {
-    "alg1": (
-        _alg1_params,
-        lambda a, stream, seed: alg1_estimate(stream, _alg1_params(a), seed),
+# name -> run(params, stream, seed). Every estimator checks its parameters
+# before it reads the stream and accepts the empty stream, so a run on
+# EdgeStream(0, ()) is the parameter check (it raises ConfigError);
+# validate_config and the CLI's estimate make it before any graph is
+# generated, stream file read or CSV opened.
+ESTIMATORS: dict[str, Callable[[Any, EdgeStream, int], Estimate]] = {
+    "alg1": lambda a, stream, seed: alg1_estimate(
+        stream, Alg1Params(mu=a.mu, p=a.p, c=a.c, epsilon=a.epsilon), seed
     ),
-    "alg2": (
-        _check_greedy_composite,
-        lambda a, stream, seed: alg2_estimate(
-            stream, c=a.c, mu=a.mu, epsilon=a.epsilon, seed=seed
-        ),
+    "alg2": lambda a, stream, seed: alg2_estimate(
+        stream, c=a.c, mu=a.mu, epsilon=a.epsilon, seed=seed
     ),
-    "alg4": (
-        lambda a: check_survivor_params(a.alpha, a.c, a.epsilon),
-        lambda a, stream, seed: alg4_estimate_e_alpha(
-            stream, alpha=a.alpha, c=a.c, epsilon=a.epsilon, seed=seed
-        ),
+    "alg4": lambda a, stream, seed: alg4_estimate_e_alpha(
+        stream, alpha=a.alpha, c=a.c, epsilon=a.epsilon, seed=seed
     ),
-    "logspace": (
-        lambda a: check_survivor_params(6 * a.c, a.c, a.epsilon),
-        lambda a, stream, seed: estimate_matching_logspace(
-            stream, c=a.c, epsilon=a.epsilon, seed=seed
-        ),
+    "logspace": lambda a, stream, seed: estimate_matching_logspace(
+        stream, c=a.c, epsilon=a.epsilon, seed=seed
     ),
-    "dynamic": (
-        _check_greedy_composite,
-        lambda a, stream, seed: dynamic_estimate(
-            stream, c=a.c, mu=a.mu, epsilon=a.epsilon, seed=seed
-        ),
+    "dynamic": lambda a, stream, seed: dynamic_estimate(
+        stream, c=a.c, mu=a.mu, epsilon=a.epsilon, seed=seed
     ),
 }
 
@@ -186,8 +167,7 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"delete-fraction must be in [0, 1], got {config.delete_fraction}")
     if config.delete_fraction > 0 and config.estimator != "dynamic":
         raise ConfigError("delete-fraction only applies to the dynamic estimator")
-    check, _ = ESTIMATORS[config.estimator]
-    check(config)
+    ESTIMATORS[config.estimator](config, EdgeStream(0, ()), 0)  # the parameter check
 
 
 def _run_estimator(config: ExperimentConfig, g: Graph, seed: int) -> Estimate:
@@ -195,8 +175,7 @@ def _run_estimator(config: ExperimentConfig, g: Graph, seed: int) -> Estimate:
         stream = generate_dynamic_stream(g, config.delete_fraction, seed)
     else:
         stream = order_stream(g, config.ordering, seed)
-    _, run = ESTIMATORS[config.estimator]
-    return run(config, stream, seed)
+    return ESTIMATORS[config.estimator](config, stream, seed)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arbormatch import Estimate, parse_graph, parse_stream
+from arbormatch import ConfigError, Estimate, parse_config, parse_graph, parse_stream
 from arbormatch.cli import main
 
 
@@ -76,6 +76,24 @@ def test_estimate_rejects_nan_alpha(tmp_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert "alpha must be >= 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("alpha", ["inf", "1e999"])
+def test_non_finite_alpha_is_rejected_everywhere(tmp_path, capsys, alpha):
+    gpath = tmp_path / "g.txt"
+    spath = tmp_path / "s.txt"
+    main(["generate", "--kind", "star-forest", "--k", "1", "--s", "7", "-o", str(gpath)])
+    main(["order", str(gpath), "--policy", "as-generated", "-o", str(spath)])
+    capsys.readouterr()
+    for argv in (
+        ["oracle", str(gpath), "--mu", "3", "--stream", str(spath), "--alpha", alpha],
+        ["estimate", str(spath), "--algorithm", "alg4", "--c", "1", "--alpha", alpha],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "alpha must be >= 1 and finite" in captured.err and captured.out == ""
+    with pytest.raises(ConfigError, match="alpha must be >= 1 and finite"):
+        parse_config(f"estimator = alg4\nalpha = {alpha}\n")
 
 
 def test_estimate_names_the_line_of_a_malformed_stream(tmp_path, capsys):

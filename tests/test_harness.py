@@ -1,7 +1,11 @@
 import csv
+import math
+import re
+from types import SimpleNamespace
 
 import pytest
 
+import arbormatch.harness as harness
 from arbormatch import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +20,7 @@ from arbormatch import (
     summarize_ratios,
 )
 from arbormatch.harness import (
+    ESTIMATORS,
     LemmaCheck,
     LemmaReport,
     TrialRecord,
@@ -26,6 +31,7 @@ from arbormatch.harness import (
     triple_alpha_checks,
     validate_config,
 )
+from arbormatch.streams import EdgeStream, delete_event, insert_event
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +103,62 @@ def test_parse_config_rejects_c_below_one(generator, estimator):
         parse_config(text)
 
 
-def test_run_experiment_checks_parameters_before_writing_csv(tmp_path):
+VALID_SETTING = {"c": 1, "epsilon": 0.5, "mu": 3, "p": 0.5, "alpha": 6.0}
+# (estimators that read it, parameter, bad value, what the ConfigError says)
+BAD_PARAMETERS = [
+    (tuple(ESTIMATORS), "c", 0, "c must be >= 1"),
+    (tuple(ESTIMATORS), "epsilon", 1.0, "epsilon must be in"),
+    (("alg1", "alg2", "dynamic"), "mu", 2, "needs mu > 2c"),
+    (("alg1",), "p", 0.0, "needs p in"),
+    (("alg1",), "p", None, "needs p in"),
+    (("alg4",), "alpha", 0.5, "alpha must be >= 1"),
+    (("alg4",), "alpha", math.nan, "alpha must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, key, value, message",
+    [
+        pytest.param(name, key, value, message, id=f"{name}-{key}={value}")
+        for names, key, value, message in BAD_PARAMETERS
+        for name in names
+    ],
+)
+def test_a_run_on_the_empty_stream_checks_parameters(name, key, value, message):
+    run = ESTIMATORS[name]
+    assert run(SimpleNamespace(**VALID_SETTING), EdgeStream(0, ()), 0).value == 0
+    params = SimpleNamespace(**{**VALID_SETTING, key: value})
+    ends_with_delete = EdgeStream(2, (insert_event(0, 1), delete_event(0, 1)))
+    for stream in (EdgeStream(0, ()), ends_with_delete):
+        with pytest.raises(ConfigError, match=message):
+            run(params, stream, 0)
+
+
+# estimator -> (one bad setting, the ConfigError it raises)
+BAD_SETTINGS = {
+    "alg1": ({"mu": 3, "p": 0.0}, "the degree sampler needs p in (0, 1], got 0.0"),
+    "alg2": ({"mu": 2}, "the degree threshold needs mu > 2c = 2, got 2"),
+    "alg4": ({"alpha": 0.5}, "alpha must be >= 1, got 0.5"),
+    "logspace": ({"c": 0}, "c must be >= 1, got 0"),
+    "dynamic": ({"mu": 3, "epsilon": 1.0}, "epsilon must be in (0, 1), got 1.0"),
+}
+
+
+def test_run_experiment_checks_parameters_before_writing_csv(tmp_path, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a graph was generated before the parameter check")
+
+    monkeypatch.setattr(harness, "generate_union_of_forests", no_graph)
     out = tmp_path / "out.csv"
-    config = ExperimentConfig(
-        generator="random-tree", n=20, c=0, estimator="logspace", output=str(out)
-    )
-    with pytest.raises(ConfigError, match="c must be >= 1"):
-        run_experiment(config)
-    assert not out.exists()
+    for estimator, (setting, message) in BAD_SETTINGS.items():
+        lines = [f"estimator = {estimator}", f"output = {out}"]
+        lines += [f"{key} = {value}" for key, value in setting.items()]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config("\n".join(lines))
+        config = ExperimentConfig(estimator=estimator, output=str(out), **setting)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_experiment(config)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
