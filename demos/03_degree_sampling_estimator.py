@@ -8,7 +8,7 @@ greedy matching in the same pass and only trusts the sampler once the greedy
 side saturates its cutoff.
 """
 
-import numpy as np
+from statistics import fmean
 
 from arbormatch import (
     Alg1Params,
@@ -32,11 +32,11 @@ def main():
     for p in (1.0, 0.5, 0.25, 0.1):
         params = Alg1Params(mu=mu, p=p, c=c, epsilon=epsilon)
         runs = [alg1_estimate(stream, params, seed) for seed in range(20)]
-        values = np.array([run.value for run in runs])
-        space = np.array([run.space_peak for run in runs])
+        mean_value = fmean(run.value for run in runs)
+        mean_space = fmean(run.space_peak for run in runs)
         print(
-            f"  p={p:<5} mean={values.mean():9.1f}  (M*={m_star}, cap {beta:.0f}*M*={beta*m_star:.0f})"
-            f"  mean space items={space.mean():8.1f}"
+            f"  p={p:<5} mean={mean_value:9.1f}  (M*={m_star}, cap {beta:.0f}*M*={beta*m_star:.0f})"
+            f"  mean space items={mean_space:8.1f}"
         )
 
     print("\n== composite: greedy below the cutoff vs sampler above it ==")

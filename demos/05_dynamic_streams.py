@@ -8,7 +8,7 @@ they number at most 4t^2; a stream that overflows that capacity is decided by
 the degree sampler.
 """
 
-import numpy as np
+from statistics import fmean
 
 from arbormatch import (
     dynamic_estimate,
@@ -32,10 +32,9 @@ def main():
         for seed in range(20):
             est = dynamic_estimate(stream, c=c, mu=mu, epsilon=epsilon, seed=seed)
             values.append(est.value)
-        arr = np.array(values, dtype=float)
         print(
             f"  delete share {fraction:4.2f}: {len(stream.events):4d} events "
-            f"({deletes:3d} deletes)  estimates mean={arr.mean():7.1f} "
+            f"({deletes:3d} deletes)  estimates mean={fmean(values):7.1f} "
             f"window=[{(1-epsilon)*m_star:.0f}, {(1+epsilon)*est.params['beta']*m_star:.0f}]"
         )
     print(f"  greedy side keeps every live edge (capacity 4t^2={est.params['capacity']}, "
@@ -53,10 +52,9 @@ def main():
         overflowed = sum(run.params["greedy_r"] is None for run in runs)
         alg1 = sum(run.params["branch"] == "alg1" for run in runs)
         hits = sum(lo <= run.value <= hi for run in runs)
-        arr = np.array([run.value for run in runs], dtype=float)
         print(f"  capacity {capacity:3d}: overflowed {overflowed:2d}/20, "
               f"alg1 branch {alg1:2d}/20, in window {hits:2d}/20, "
-              f"estimates mean={arr.mean():7.1f}")
+              f"estimates mean={fmean(run.value for run in runs):7.1f}")
 
 
 if __name__ == "__main__":

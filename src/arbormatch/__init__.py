@@ -8,14 +8,10 @@ one-pass estimators with space instrumentation, and an experiment harness.
 from .errors import (
     BudgetExceeded,
     ConfigError,
-    DuplicateEdge,
     GraphError,
     HasDeletions,
     ParseError,
-    SelfLoop,
     StreamInvariantError,
-    TooLarge,
-    VertexOutOfRange,
 )
 from .estimators import (
     Alg1Params,
@@ -67,7 +63,6 @@ __all__ = [
     "Alg1Params",
     "BudgetExceeded",
     "ConfigError",
-    "DuplicateEdge",
     "EdgeStream",
     "Estimate",
     "ExperimentConfig",
@@ -75,10 +70,7 @@ __all__ = [
     "GraphError",
     "HasDeletions",
     "ParseError",
-    "SelfLoop",
     "StreamInvariantError",
-    "TooLarge",
-    "VertexOutOfRange",
     "alg1_estimate",
     "alg2_estimate",
     "alg4_estimate_e_alpha",

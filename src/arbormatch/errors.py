@@ -5,22 +5,6 @@ class GraphError(ValueError):
     """Invalid graph construction or graph-operation input."""
 
 
-class SelfLoop(GraphError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdge(GraphError):
-    """The same unordered vertex pair appears twice."""
-
-
-class VertexOutOfRange(GraphError):
-    """An edge endpoint lies outside [0, n)."""
-
-
-class TooLarge(ValueError):
-    """Instance exceeds the hard cap of an exhaustive oracle."""
-
-
 class HasDeletions(ValueError):
     """An insert-only operation received a stream with delete events."""
 

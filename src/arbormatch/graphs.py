@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import (
-    DuplicateEdge,
-    GraphError,
-    ParseError,
-    SelfLoop,
-    TooLarge,
-    VertexOutOfRange,
-)
+from .errors import GraphError, ParseError
 
 if TYPE_CHECKING:
     from .streams import EdgeStream
@@ -36,13 +29,27 @@ class Graph:
     """Simple undirected graph.
 
     ``edges`` keeps construction order (generators rely on it for the
-    as-generated stream ordering); ``c_declared`` is an optional arboricity
-    bound recorded by generators. Instances are immutable and safe to share.
+    as-generated stream ordering) and is taken as given: ``build_graph``
+    validates edge lists from outside. ``c_declared`` is an optional
+    arboricity bound; when it is set, the graph must pass the checkable test
+    of it, degeneracy <= 2*c_declared, or construction raises GraphError.
+    Instances are immutable and safe to share.
     """
 
     n: int
     edges: tuple[Edge, ...]
     c_declared: int | None = None
+
+    def __post_init__(self) -> None:
+        c = self.c_declared
+        if c is not None:
+            if c < 1:
+                raise GraphError(f"c_declared must be a positive integer, got {c}")
+            if self.degeneracy > 2 * c:
+                raise GraphError(
+                    f"degeneracy {self.degeneracy} exceeds 2*c_declared = {2 * c}; "
+                    "the declared arboricity bound cannot hold"
+                )
 
     @property
     def m(self) -> int:
@@ -77,9 +84,9 @@ class Graph:
 def build_graph(n: int, edge_list: Iterable[Edge], c_declared: int | None = None) -> Graph:
     """Validate an edge list and return a normalized Graph.
 
-    Rejects self-loops, duplicate edges (in either orientation) and endpoints
-    outside [0, n). When ``c_declared`` is given, the degeneracy of the result
-    must not exceed twice the bound.
+    Rejects a negative n, self-loops, duplicate edges (in either orientation)
+    and endpoints outside [0, n), raising GraphError. ``c_declared`` is passed
+    on to Graph, which enforces it.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
@@ -87,24 +94,15 @@ def build_graph(n: int, edge_list: Iterable[Edge], c_declared: int | None = None
     edges: list[Edge] = []
     for u, v in edge_list:
         if u == v:
-            raise SelfLoop(f"self-loop ({u}, {v})")
+            raise GraphError(f"self-loop ({u}, {v})")
         if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+            raise GraphError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
         e = (u, v) if u < v else (v, u)
         if e in seen:
-            raise DuplicateEdge(f"duplicate edge ({u}, {v})")
+            raise GraphError(f"duplicate edge ({u}, {v})")
         seen.add(e)
         edges.append(e)
-    g = Graph(n=n, edges=tuple(edges), c_declared=c_declared)
-    if c_declared is not None:
-        if c_declared < 1:
-            raise GraphError(f"c_declared must be a positive integer, got {c_declared}")
-        if g.degeneracy > 2 * c_declared:
-            raise GraphError(
-                f"degeneracy {g.degeneracy} exceeds 2*c_declared = {2 * c_declared}; "
-                "the declared arboricity bound cannot hold"
-            )
-    return g
+    return Graph(n=n, edges=tuple(edges), c_declared=c_declared)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -297,7 +295,7 @@ def brute_force_matching_size(g: Graph) -> int:
     BRUTE_FORCE_EDGE_CAP edges.
     """
     if g.m > BRUTE_FORCE_EDGE_CAP:
-        raise TooLarge(
+        raise GraphError(
             f"{g.m} edges exceeds the exhaustive cap of {BRUTE_FORCE_EDGE_CAP}"
         )
     edges = g.edges
@@ -370,7 +368,7 @@ def degeneracy(g: Graph) -> int:
     """Smallest k such that repeatedly removing a vertex of degree <= k empties g.
 
     Upper-bounds the arboricity within a factor of two, which makes it a
-    checkable proxy for the declared bound carried by generated graphs.
+    checkable proxy for the bound a Graph declares.
 
     Bucket-queue peel in O(n + m) (Matula & Beck, JACM 1983): bucket d lists
     vertices whose degree was d when they were filed, and an entry whose

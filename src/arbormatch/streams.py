@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     StreamInvariantError,
 )
-from .graphs import Edge, Graph, _parse_header, build_graph
+from .graphs import Edge, Graph, _parse_header
 
 INSERT = "+"
 DELETE = "-"
@@ -211,7 +211,7 @@ def generate_union_of_forests(n: int, c: int, seed: int) -> Graph:
             if e not in seen:
                 seen.add(e)
                 edges.append(e)
-    return build_graph(n, edges, c_declared=c)
+    return Graph(n, tuple(edges), c_declared=c)
 
 
 def generate_star_forest(k: int, s: int) -> Graph:
@@ -228,7 +228,7 @@ def generate_star_forest(k: int, s: int) -> Graph:
     for j in range(k):
         center = j * (s + 1)
         edges.extend((center, center + i) for i in range(1, s + 1))
-    return build_graph(k * (s + 1), edges, c_declared=1)
+    return Graph(k * (s + 1), tuple(edges), c_declared=1)
 
 
 def pruefer_to_edges(seq: list[int]) -> list[Edge]:
@@ -260,7 +260,7 @@ def generate_random_tree(n: int, seed: int) -> Graph:
         raise GraphError(f"n must be >= 2, got {n}")
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    return build_graph(n, pruefer_to_edges(seq), c_declared=1)
+    return Graph(n, tuple(pruefer_to_edges(seq)), c_declared=1)
 
 
 def check_dynamic_budget(events: int, c: int, n: int) -> None:
@@ -280,9 +280,10 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     the arboricity bound; a real insert flushes live decoys first if they
     would push the prefix over that cap.
 
-    The cap is checked locally. Every prefix stays within it (decoys enter
-    only when they fit, and a real edge that does not fit once every decoy is
-    gone leaves a subgraph of g, which is checked up front). So adding e
+    The cap is checked locally. Every prefix stays within it: decoys enter
+    only when they fit, and once every decoy is gone a real insert leaves a
+    subgraph of g, whose degeneracy is within the cap (Graph enforces it for a
+    declared bound; without one the cap is twice g's degeneracy). So adding e
     breaks the cap exactly when the live graph plus e has a nonempty
     (cap+1)-core, and that core is connected and holds both endpoints of e:
     the check peels only the region of degree > cap reachable from one end.
@@ -296,8 +297,6 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
         raise GraphError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
     eff_c = g.c_declared if g.c_declared is not None else max(1, g.degeneracy)
     cap = 2 * eff_c
-    if g.degeneracy > cap:
-        raise GraphError("graph degeneracy already exceeds twice the arboricity bound")
     m = g.m
     target_decoys = int(delete_fraction * m)
     check_dynamic_budget(m + 2 * target_decoys, eff_c, g.n)

@@ -369,10 +369,6 @@ def test_c09_space_instrumentation(corpus):
     # degree sampler: items scale linearly with the sampling probability once
     # p is small enough that the either-endpoint-sampled terms stop saturating
     slopes = []
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover
-        np = None
     for c, gseed in ((1, 1), (3, 2)):
         g = generate_union_of_forests(2000, c, seed=gseed)
         stream = order_stream(g, "uniform-random", 0)
@@ -384,13 +380,8 @@ def test_c09_space_instrumentation(corpus):
                 alg1_estimate(stream, params, seed).space_peak for seed in range(40)
             ]
             means.append(statistics.fmean(peaks))
-        if np is not None:
-            slope = float(np.polyfit([math.log(p) for p in ps], [math.log(m) for m in means], 1)[0])
-        else:
-            slope = (math.log(means[0]) - math.log(means[-1])) / (
-                math.log(ps[0]) - math.log(ps[-1])
-            )
-        slopes.append(slope)
+        fit = statistics.linear_regression([math.log(p) for p in ps], [math.log(m) for m in means])
+        slopes.append(fit.slope)
     slope_ok = all(0.8 <= s <= 1.2 for s in slopes)
     ok = failures == 0 and slope_ok
     _report(

@@ -4,13 +4,9 @@ import signal
 import pytest
 
 from arbormatch import (
-    DuplicateEdge,
     Graph,
     GraphError,
     ParseError,
-    SelfLoop,
-    TooLarge,
-    VertexOutOfRange,
     brute_force_matching_size,
     build_graph,
     characterize,
@@ -56,20 +52,20 @@ def test_adjacency_is_built_once_per_graph():
 
 
 def test_build_graph_rejects_duplicates():
-    with pytest.raises(DuplicateEdge, match=r"\(0, 1\)"):
+    with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
         build_graph(3, [(0, 1), (0, 1)])
     # same pair in the other orientation is still a duplicate
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(GraphError, match=r"duplicate edge \(1, 0\)"):
         build_graph(3, [(0, 1), (1, 0)])
 
 
 def test_build_graph_rejects_out_of_range():
-    with pytest.raises(VertexOutOfRange, match=r"\(0, 2\)"):
+    with pytest.raises(GraphError, match=r"\(0, 2\) has an endpoint outside \[0, 2\)"):
         build_graph(2, [(0, 2)])
 
 
 def test_build_graph_rejects_self_loops():
-    with pytest.raises(SelfLoop, match=r"\(1, 1\)"):
+    with pytest.raises(GraphError, match=r"self-loop \(1, 1\)"):
         build_graph(3, [(1, 1)])
 
 
@@ -78,6 +74,16 @@ def test_build_graph_checks_declared_bound():
     with pytest.raises(GraphError, match="degeneracy"):
         build_graph(5, k5, c_declared=1)
     assert build_graph(5, k5, c_declared=2).c_declared == 2
+
+
+def test_graph_built_directly_enforces_its_declared_bound():
+    k5 = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
+    with pytest.raises(GraphError, match=r"degeneracy 4 exceeds 2\*c_declared = 2"):
+        Graph(5, k5, c_declared=1)
+    with pytest.raises(GraphError, match="c_declared must be a positive integer"):
+        Graph(2, ((0, 1),), c_declared=0)
+    assert Graph(5, k5).c_declared is None
+    assert Graph(5, k5, c_declared=2).degeneracy == 4
 
 
 def test_graph_text_format_round_trip():
@@ -125,7 +131,7 @@ def test_brute_force_examples():
 
 def test_brute_force_cap():
     g = build_graph(10, [(i, j) for i in range(8) for j in range(i + 1, 8)][:25])
-    with pytest.raises(TooLarge):
+    with pytest.raises(GraphError, match="25 edges exceeds the exhaustive cap of 24"):
         brute_force_matching_size(g)
 
 

@@ -279,7 +279,7 @@ def test_dynamic_experiment_smoke():
 
 
 def test_dynamic_trial_computes_degeneracy_once(monkeypatch):
-    # build_graph checks the generated graph and generate_dynamic_stream needs
+    # Graph checks the generated graph and generate_dynamic_stream needs
     # the same value; count calls wherever a module binds the function
     from arbormatch import graphs, harness, streams
 

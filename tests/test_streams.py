@@ -133,6 +133,15 @@ def test_random_tree_edge_count_and_determinism():
     assert degeneracy(t) == 1
 
 
+def test_generated_graphs_are_valid_edge_lists():
+    # generators build Graph directly, so no runtime scan checks their edges;
+    # unions of forests are held to build_graph by their randrange reference
+    graphs = [generate_star_forest(k, s) for k in range(1, 7) for s in range(1, 7)]
+    graphs += [generate_random_tree(n, seed) for n in range(2, 81) for seed in range(3)]
+    for g in graphs:
+        assert build_graph(g.n, g.edges, g.c_declared) == g
+
+
 def test_pruefer_decode_known_sequence():
     # label-shifted version of decoding (3,3,4) over 1..5
     assert set(pruefer_to_edges([2, 2, 3])) == {(0, 2), (1, 2), (2, 3), (3, 4)}
