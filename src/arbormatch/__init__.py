@@ -5,14 +5,7 @@ characterization, surviving-edge counts), deterministic stream generators,
 one-pass estimators with space instrumentation, and an experiment harness.
 """
 
-from .errors import (
-    BudgetExceeded,
-    ConfigError,
-    GraphError,
-    HasDeletions,
-    ParseError,
-    StreamInvariantError,
-)
+from .errors import ConfigError, GraphError, ParseError, StreamInvariantError
 from .estimators import (
     Alg1Params,
     Estimate,
@@ -61,14 +54,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alg1Params",
-    "BudgetExceeded",
     "ConfigError",
     "EdgeStream",
     "Estimate",
     "ExperimentConfig",
     "Graph",
     "GraphError",
-    "HasDeletions",
     "ParseError",
     "StreamInvariantError",
     "alg1_estimate",

@@ -11,7 +11,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import BudgetExceeded, ConfigError
+from .errors import ConfigError
 from .estimators import check_alpha
 from .graphs import (
     characterize,
@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, ValueError) as exc:  # ConfigError and ParseError are ValueErrors
+    except ValueError as exc:  # every input fault the library raises is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

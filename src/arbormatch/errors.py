@@ -5,12 +5,9 @@ class GraphError(ValueError):
     """Invalid graph construction or graph-operation input."""
 
 
-class HasDeletions(ValueError):
-    """An insert-only operation received a stream with delete events."""
-
-
 class StreamInvariantError(ValueError):
-    """An event sequence violates the liveness rules of an edge stream."""
+    """An event sequence breaks a stream rule: liveness, insert-only input where
+    a consumer needs it, or the 4*c*n event budget of a dynamic stream."""
 
 
 class ParseError(ValueError):
@@ -19,10 +16,6 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class BudgetExceeded(RuntimeError):
-    """A dynamic stream is longer than the allowed event budget."""
 
 
 class ConfigError(ValueError):

@@ -18,13 +18,7 @@ from enum import Enum
 from itertools import islice
 from operator import itemgetter
 
-from .errors import (
-    BudgetExceeded,
-    GraphError,
-    HasDeletions,
-    ParseError,
-    StreamInvariantError,
-)
+from .errors import GraphError, ParseError, StreamInvariantError
 from .graphs import Edge, Graph, _parse_header
 
 INSERT = "+"
@@ -59,10 +53,10 @@ class EdgeStream:
     c_declared: int | None = None
 
     def require_insert_only(self) -> None:
-        """Raise HasDeletions if any event is a delete; every estimator and
+        """Raise StreamInvariantError if any event is a delete; every estimator and
         stream oracle but the insert/delete estimator calls this first."""
         if DELETE in map(itemgetter(0), self.events):
-            raise HasDeletions("stream contains delete events")
+            raise StreamInvariantError("stream contains delete events")
 
     def live_edges(self) -> set[Edge]:
         """Edge set left after replaying every event."""
@@ -264,10 +258,10 @@ def generate_random_tree(n: int, seed: int) -> Graph:
 
 
 def check_dynamic_budget(events: int, c: int, n: int) -> None:
-    """Raise BudgetExceeded when a dynamic stream runs past 4*c*n events."""
+    """Raise StreamInvariantError when a dynamic stream runs past 4*c*n events."""
     budget = 4 * c * n
     if events > budget:
-        raise BudgetExceeded(f"stream of {events} events exceeds the budget {budget}")
+        raise StreamInvariantError(f"stream of {events} events exceeds the budget {budget}")
 
 
 def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> EdgeStream:

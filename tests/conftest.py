@@ -1,3 +1,4 @@
+import math
 import random
 from functools import cache
 
@@ -152,6 +153,42 @@ def reference_split(state) -> tuple[list[int], list[int]]:
         elif any(counter(w) <= mu for w in nbrs):
             s1.append(v)
     return s1, s2
+
+
+def alg1_exact_mean(g: Graph, p: float, mu: int) -> float:
+    """Exact mean of alg1's value on an insert-only stream of the forest g.
+
+    A sampled v lands in S_2 iff deg v > mu, and in S_1 iff 1 <= deg v <= mu
+    and some neighbour w has a low counter. w's counter is high with
+    probability q_w = p*[deg w > mu] + (1-p)*P[Bin(deg w - 1, p) >= mu]: if w
+    is unsampled, l(w) counts v and each other sampled neighbour of w. In a
+    forest no two neighbours of v share another neighbour, so the q_w are
+    independent, and dividing by p cancels v's own sampling:
+
+    E = #{v : deg v > mu} + sum over 1 <= deg v <= mu of (1 - prod_w q_w).
+    """
+    assert g.degeneracy <= 1, "the closed form holds on forests only"
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    def q(w: int) -> float:
+        d = len(nbrs[w])
+        return p * (d > mu) + (1 - p) * _binomial_tail(d - 1, p, mu)
+
+    mean = 0.0
+    for v in range(g.n):
+        if len(nbrs[v]) > mu:
+            mean += 1
+        elif nbrs[v]:
+            mean += 1 - math.prod(q(w) for w in nbrs[v])
+    return mean
+
+
+def _binomial_tail(k: int, p: float, at_least: int) -> float:
+    """P[Bin(k, p) >= at_least]."""
+    return sum(math.comb(k, j) * p**j * (1 - p) ** (k - j) for j in range(at_least, k + 1))
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from arbormatch import (
     ConfigError,
     EdgeStream,
-    HasDeletions,
+    StreamInvariantError,
     alg4_estimate_e_alpha,
     build_graph,
     delete_event,
@@ -66,7 +66,7 @@ def test_validation():
     with pytest.raises(ConfigError):
         alg4_estimate_e_alpha(st, alpha=1, c=1, epsilon=1.2, seed=0)
     bad = EdgeStream(n=2, events=(insert_event(0, 1), delete_event(0, 1)))
-    with pytest.raises(HasDeletions):
+    with pytest.raises(StreamInvariantError, match="^stream contains delete events$"):
         alg4_estimate_e_alpha(bad, alpha=1, c=1, epsilon=0.5, seed=0)
 
 
@@ -90,7 +90,7 @@ def test_cyclic_collector_is_paused_in_the_loop_and_left_as_found():
             # thousands of test objects, and at most the one pass due on resuming
             assert len(passes) <= (1 if enabled else 0)
             assert gc.isenabled() is enabled
-            with pytest.raises(HasDeletions):
+            with pytest.raises(StreamInvariantError, match="^stream contains delete events$"):
                 alg4_estimate_e_alpha(bad, alpha=1, c=1, epsilon=0.5, seed=0)
             assert gc.isenabled() is enabled
     finally:

@@ -142,6 +142,16 @@ def test_experiment_writes_csv(tmp_path, capsys):
     assert "trials=3" in capsys.readouterr().out
 
 
+def test_experiment_output_flag_overrides_the_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    named = tmp_path / "named.csv"
+    flag = tmp_path / "flag.csv"
+    cfg.write_text(f"generator = random-tree\nn = 30\nestimator = logspace\noutput = {named}\n")
+    assert main(["experiment", str(cfg), "-o", str(flag)]) == 0
+    assert flag.read_text().splitlines()[0] == "seed,value,m_star,ratio,space_peak,fail,ms"
+    assert not named.exists()
+
+
 def test_check_lemmas_exit_codes(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     main(["generate", "--kind", "random-tree", "--n", "40", "--seed", "2", "-o", str(gpath)])
@@ -166,6 +176,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 def test_missing_file_reports_io_error(capsys):
     assert main(["oracle", "/nonexistent/graph.txt", "--mu", "3"]) == 1
     assert "io error" in capsys.readouterr().err
+
+
+def test_oracle_stream_needs_alpha(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("n 2\n0 1\n")
+    assert main(["oracle", str(gpath), "--mu", "3", "--stream", str(tmp_path / "absent.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --alpha is required when --stream is given\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("alpha", ["nan", "-1"])

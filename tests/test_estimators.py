@@ -1,16 +1,18 @@
 import hashlib
 import math
+import pathlib
 import random
+import re
+import statistics
 import tracemalloc
 
 import pytest
 
 from arbormatch import (
     Alg1Params,
-    BudgetExceeded,
     ConfigError,
     EdgeStream,
-    HasDeletions,
+    StreamInvariantError,
     alg1_estimate,
     alg2_estimate,
     alg4_estimate_e_alpha,
@@ -19,6 +21,7 @@ from arbormatch import (
     dynamic_estimate,
     estimate_matching_logspace,
     generate_dynamic_stream,
+    generate_random_tree,
     generate_star_forest,
     generate_union_of_forests,
     greedy_maximal_matching,
@@ -30,7 +33,7 @@ from arbormatch import (
 )
 from arbormatch.estimators import Alg1State
 
-from conftest import path_graph, random_graph, reference_split, star_graph
+from conftest import alg1_exact_mean, path_graph, random_graph, reference_split, star_graph
 
 
 def _stream(n, edges):
@@ -106,7 +109,7 @@ def test_insert_only_consumers_reject_a_final_delete(consumer):
     st = _stream(4, [(0, 1), (1, 2), (2, 3)])
     INSERT_ONLY_CONSUMERS[consumer](st)
     bad = EdgeStream(n=4, events=(*st.events, delete_event(0, 1)))
-    with pytest.raises(HasDeletions, match="^stream contains delete events$"):
+    with pytest.raises(StreamInvariantError, match="^stream contains delete events$"):
         INSERT_ONLY_CONSUMERS[consumer](bad)
 
 
@@ -208,6 +211,26 @@ def test_alg1_success_window_on_long_path():
     lo, hi = (1 - epsilon) * m_star, (1 + epsilon) * params.beta * m_star
     hits = sum(1 for seed in range(150) if lo <= alg1_estimate(st, params, seed).value <= hi)
     assert hits / 150 >= bound - 0.05
+
+
+FORESTS = {
+    "random-tree": lambda: generate_random_tree(300, 1),
+    "star-forest": lambda: generate_star_forest(40, 6),
+    "union-of-forests": lambda: generate_union_of_forests(300, 1, 2),
+}
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
+@pytest.mark.parametrize("forest", sorted(FORESTS))
+def test_alg1_mean_matches_the_exact_mean_on_forests(forest, p):
+    # a bias that keeps every run inside c05's beta*M* window still moves the mean
+    g = FORESTS[forest]()
+    st = order_stream(g, "uniform-random", 0)
+    params = Alg1Params(mu=3, p=p, c=1, epsilon=0.5)
+    values = [alg1_estimate(st, params, seed).value for seed in range(400)]
+    mean = statistics.fmean(values)
+    stderr = statistics.stdev(values) / math.sqrt(len(values))
+    assert abs(mean - alg1_exact_mean(g, p, mu=3)) <= 4 * stderr
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +390,7 @@ def test_dynamic_budget_enforced():
         events.append(insert_event(0, 1))
         events.append(delete_event(0, 1))
     st = EdgeStream(n=2, events=tuple(events))  # 10 events > 4*c*n = 8
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(StreamInvariantError, match="^stream of 10 events exceeds the budget 8$"):
         dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0)
 
 
@@ -533,3 +556,50 @@ def test_estimators_match_pinned_digests():
                 h.update(repr(record).encode())
         got[name] = h.hexdigest()
     assert got == PINNED_ESTIMATOR_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# the README's params table
+# ---------------------------------------------------------------------------
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_params_table():
+    """estimator -> (keys every run returns, keys a successful run adds), read
+    from the README's table: parenthesized remarks dropped, and the keys after
+    a ';' ("on success also") counted as success-only."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| estimator | `params` keys |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        always, _, on_success = re.sub(r"\([^)]*\)", "", keys).partition(";")
+        table[name.strip("`")] = tuple(re.findall(r"`(\w+)`", part) for part in (always, on_success))
+    return table
+
+
+def test_readme_params_table_lists_the_returned_keys():
+    st = order_stream(generate_union_of_forests(60, 1, seed=0), "uniform-random", 0)
+    churn = generate_dynamic_stream(generate_union_of_forests(60, 1, seed=0), 0.5, 0)
+    runs = {
+        "alg1_estimate": [alg1_estimate(st, Alg1Params(mu=3, p=0.5, c=1, epsilon=0.5), 0)],
+        "alg2_estimate": [alg2_estimate(st, 1, 3, 0.5, 0)],
+        "alg4_estimate_e_alpha": [
+            alg4_estimate_e_alpha(st, 6, 1, 0.5, 0, tau_override=tau) for tau in (None, 0.5)
+        ],
+        "estimate_matching_logspace": [
+            estimate_matching_logspace(st, 1, 0.5, 0, tau_override=tau) for tau in (None, 0.5)
+        ],
+        "dynamic_estimate": [dynamic_estimate(churn, 1, 3, 0.5, 0)],
+    }
+    table = _readme_params_table()
+    assert sorted(table) == sorted(runs)
+    for name, estimates in runs.items():
+        always, on_success = table[name]
+        for est in estimates:
+            assert list(est.params) == always + ([] if est.failed else on_success), name
+    for name in ("alg4_estimate_e_alpha", "estimate_matching_logspace"):
+        assert [est.failed for est in runs[name]] == [False, True]  # both outcomes read

@@ -1,4 +1,5 @@
 import contextlib
+import re
 import signal
 
 import pytest
@@ -69,6 +70,11 @@ def test_build_graph_rejects_self_loops():
         build_graph(3, [(1, 1)])
 
 
+def test_build_graph_rejects_a_negative_vertex_count():
+    with pytest.raises(GraphError, match="^vertex count must be non-negative, got -1$"):
+        build_graph(-1, [])
+
+
 def test_build_graph_checks_declared_bound():
     k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     with pytest.raises(GraphError, match="degeneracy"):
@@ -100,6 +106,16 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("n 4\n0 1 2\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_graph("n -1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n four\n0 1\n", "line 1: vertex count is not an integer"),
+    ("n 4\n0 1\n# a comment\n1 x\n", "line 4: endpoints are not integers"),
+    ("# a comment only\n\n", "line 1: missing 'n <count>' header"),
+], ids=["count", "endpoints", "no-header"])
+def test_parse_graph_rejects_malformed_text(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_graph(text)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,30 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("trials = many\n")
 
 
+# (lines appended to GOOD_CONFIG, the whole ConfigError message)
+BAD_CONFIGS = [
+    ("generator = bogus", "unknown generator 'bogus'"),
+    ("estimator = bogus", "unknown estimator 'bogus'"),
+    ("ordering = bogus", "unknown ordering 'bogus'"),
+    ("trials = 0", "trials must be >= 1, got 0"),
+    ("generator = star-forest\nk = 0", "star-forest needs k >= 1 and s >= 1"),
+    ("generator = star-forest\ns = 0", "star-forest needs k >= 1 and s >= 1"),
+    ("n = 1", "n must be >= 2, got 1"),
+    ("estimator = dynamic\ndelete-fraction = -0.5", "delete-fraction must be in [0, 1], got -0.5"),
+    ("estimator = dynamic\ndelete-fraction = 1.5", "delete-fraction must be in [0, 1], got 1.5"),
+    ("trials 5", f"line {len(GOOD_CONFIG.splitlines()) + 1}: expected 'key = value'"),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, message", BAD_CONFIGS, ids=[lines.splitlines()[-1] for lines, _ in BAD_CONFIGS]
+)
+def test_parse_config_rejects_bad_settings(lines, message):
+    parse_config(GOOD_CONFIG)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(GOOD_CONFIG + lines + "\n")
+
+
 def test_validate_rejects_mu_at_twice_c():
     config = parse_config(GOOD_CONFIG)
     config.mu = 4  # equals 2c
@@ -201,11 +225,15 @@ def test_run_experiment_fixed_graph_reuses_m_star():
 
 def test_emit_csv_row_format(tmp_path):
     rec = TrialRecord(seed=1, value=3, m_star=1, ratio=3.0, space_peak=7, failed=False, ms=0.5)
+    whole = TrialRecord(seed=2, value=4.0, m_star=2, ratio=2.0, space_peak=7, failed=False, ms=0.5)
+    half = TrialRecord(seed=3, value=2.5, m_star=2, ratio=1.25, space_peak=7, failed=False, ms=0.5)
     path = tmp_path / "one.csv"
-    emit_csv([rec], str(path))
+    emit_csv([rec, whole, half], str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "seed,value,m_star,ratio,space_peak,fail,ms"
     assert lines[1] == "1,3,1,3.0,7,0,0.500"
+    assert lines[2] == "2,4,2,2.0,7,0,0.500"  # an integral float value prints as an integer
+    assert lines[3] == "3,2.5,2,1.25,7,0,0.500"
 
 
 def test_emit_csv_absent_ratio_and_value(tmp_path):
@@ -340,6 +368,12 @@ def test_check_lemmas_requires_declared_bound():
     g2 = build_graph(3, [(0, 1)], c_declared=1)
     with pytest.raises(ConfigError):
         check_lemmas(g2, orderings=1, mu=2, seed=0)
+
+
+def test_check_lemmas_needs_an_ordering():
+    g = build_graph(3, [(0, 1)], c_declared=1)
+    with pytest.raises(ConfigError, match="^orderings must be >= 1, got 0$"):
+        check_lemmas(g, orderings=0, mu=3, seed=0)
 
 
 def test_violations_are_reported_with_witnesses():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 
 import pytest
 
@@ -65,6 +66,11 @@ def test_validate_catches_liveness_violations():
     EdgeStream(n=3, events=(insert_event(0, 1), delete_event(0, 1))).validate()
 
 
+def test_validate_rejects_an_unknown_event_kind():
+    with pytest.raises(StreamInvariantError, match=r"^event 2: unknown kind '\*'$"):
+        EdgeStream(n=3, events=(insert_event(0, 1), ("*", 1, 2))).validate()
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -104,6 +110,29 @@ def test_union_of_forests_validates_arguments():
         generate_union_of_forests(1, 1, seed=0)
     with pytest.raises(GraphError):
         generate_union_of_forests(10, 0, seed=0)
+
+
+# (a generator call with an argument out of range, the whole GraphError message)
+BAD_GENERATOR_CALLS = {
+    "star-count": (lambda: generate_star_forest(0, 3), "star count must be >= 1, got 0"),
+    "star-size": (lambda: generate_star_forest(3, 0), "star size must be >= 1, got 0"),
+    "tree-n": (lambda: generate_random_tree(1, 0), "n must be >= 2, got 1"),
+    "delete-fraction-low": (
+        lambda: generate_dynamic_stream(generate_random_tree(5, 0), -0.1, 0),
+        "delete_fraction must be in [0, 1], got -0.1",
+    ),
+    "delete-fraction-high": (
+        lambda: generate_dynamic_stream(generate_random_tree(5, 0), 1.5, 0),
+        "delete_fraction must be in [0, 1], got 1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATOR_CALLS))
+def test_generators_reject_arguments_out_of_range(case):
+    call, message = BAD_GENERATOR_CALLS[case]
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_star_forest_shape():
