@@ -32,9 +32,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .errors import ConfigError, StreamInvariantError
 from .graphs import greedy_maximal_matching
-from .streams import INSERT, EdgeStream, StreamEvent, check_dynamic_budget
+from .streams import DELETE, INSERT, EdgeStream, StreamEvent, check_dynamic_budget
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -388,32 +388,61 @@ def alg4_estimate_e_alpha(
     gc.disable()
     try:
         for pos, (_, u, v) in enumerate(stream.events, 1):
-            # feed existing tests before this event's own sampling decision
-            for x in (u, v):
-                tests = tests_at(x)
-                if not tests:
-                    continue
+            # feed existing tests before this event's own sampling decision, u's
+            # list then v's, each fetched once; a list that empties leaves by_vertex
+            tests_u = tests_at(u)
+            if tests_u is not None:
                 keep = 0
-                for tst in tests:
+                for tst in tests_u:
                     if tst[1] < floor:
                         continue  # failed or below the floor: a stale entry, drop it
-                    side = 2 if x == tst[0] else 3
+                    side = 2 if u == tst[0] else 3
                     tst[side] += 1
                     if tst[side] > alpha:
                         at_top[tst[1]] -= 1
                         live -= 1
                         tst[1] = -1
                         continue
-                    tests[keep] = tst
+                    tests_u[keep] = tst
                     keep += 1
-                del tests[keep:]
-                if not tests:
-                    del by_vertex[x]
-            top = min(int(-log(1.0 - rand()) / log_growth), top_level)
+                if not keep:
+                    del by_vertex[u]
+                    tests_u = None
+                elif keep < len(tests_u):
+                    del tests_u[keep:]
+            tests_v = tests_at(v)
+            if tests_v is not None:
+                keep = 0
+                for tst in tests_v:
+                    if tst[1] < floor:
+                        continue
+                    side = 2 if v == tst[0] else 3
+                    tst[side] += 1
+                    if tst[side] > alpha:
+                        at_top[tst[1]] -= 1
+                        live -= 1
+                        tst[1] = -1
+                        continue
+                    tests_v[keep] = tst
+                    keep += 1
+                if not keep:
+                    del by_vertex[v]
+                    tests_v = None
+                elif keep < len(tests_v):
+                    del tests_v[keep:]
+            top = int(-log(1.0 - rand()) / log_growth)
+            if top > top_level:  # a compare, not min(): a builtin call per event costs more
+                top = top_level
             if top >= floor:
                 tst = [u, top, 0, 0]
-                by_vertex.setdefault(u, []).append(tst)
-                by_vertex.setdefault(v, []).append(tst)
+                # a new list starts empty, so its first append gives it four slots at
+                # once; [tst] would hold one and reallocate at the next test
+                if tests_u is None:
+                    tests_u = by_vertex[u] = []
+                tests_u.append(tst)
+                if tests_v is None:
+                    tests_v = by_vertex[v] = []
+                tests_v.append(tst)
                 at_top[top] += 1
                 live += 1
                 if collect_trace:
@@ -537,7 +566,8 @@ def dynamic_estimate(
     4*t^2 edges. If the set survives, r is the greedy maximal matching over it
     in insertion order, and twice r is returned when r < t; otherwise, and
     after an overflow (``params["greedy_r"]`` is None), the degree-sampling
-    estimate is returned. Streams longer than the 4*c*n budget are rejected.
+    estimate is returned. Streams longer than the 4*c*n budget, and events of
+    any kind but insert or delete, are rejected.
 
     ``capacity_override`` is a test hook that replaces 4*t^2, so small inputs
     overflow the set.
@@ -570,10 +600,12 @@ def dynamic_estimate(
             items = state.edges + counters + len(lower) + held
             if items > peak:
                 peak = items
-        else:
+        elif kind == DELETE:
             state_delete(u, v)
             if live is not None:
                 live.pop((INSERT, u, v), None)
+        else:
+            raise StreamInvariantError(f"unknown kind {kind!r}")
     r = None if live is None else greedy_maximal_matching(EdgeStream(n, tuple(live)))
     s = state.estimate()
     return _composite(

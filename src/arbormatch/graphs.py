@@ -462,7 +462,7 @@ def later_degree_profile(stream: "EdgeStream") -> list[int]:
 
     Entry i-1 (0-based) belongs to the 1-indexed position i. A single backward
     pass keeps running incidence counts, so the profile costs O(m). Raises
-    StreamInvariantError on streams with delete events.
+    StreamInvariantError on streams with events other than inserts.
     """
     stream.require_insert_only()
     events = stream.events
@@ -478,7 +478,7 @@ def later_degree_profile(stream: "EdgeStream") -> list[int]:
 
 def offline_alpha_good_set(stream: "EdgeStream", alpha: float) -> set[int]:
     """1-indexed positions whose edge sees at most alpha later incident edges
-    on each endpoint. Raises StreamInvariantError on delete events."""
+    on each endpoint. Raises StreamInvariantError on events other than inserts."""
     profile = later_degree_profile(stream)
     return {i + 1 for i, worst in enumerate(profile) if worst <= alpha}
 
@@ -486,7 +486,7 @@ def offline_alpha_good_set(stream: "EdgeStream", alpha: float) -> set[int]:
 def greedy_maximal_matching(stream: "EdgeStream") -> int:
     """Size of the maximal matching built by admitting each edge whose
     endpoints are both still unmatched, in stream order. Raises
-    StreamInvariantError on streams with delete events."""
+    StreamInvariantError on streams with events other than inserts."""
     stream.require_insert_only()
     taken: set[int] = set()
     size = 0

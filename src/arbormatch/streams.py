@@ -12,11 +12,11 @@ import heapq
 import random
 import re
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .errors import GraphError, ParseError, StreamInvariantError
 from .graphs import Edge, Graph, _parse_header
@@ -53,10 +53,15 @@ class EdgeStream:
     c_declared: int | None = None
 
     def require_insert_only(self) -> None:
-        """Raise StreamInvariantError if any event is a delete; every estimator and
-        stream oracle but the insert/delete estimator calls this first."""
-        if DELETE in map(itemgetter(0), self.events):
+        """Raise StreamInvariantError if any event is not an insert; every estimator
+        and stream oracle but the insert/delete estimator calls this first."""
+        kinds = set(map(itemgetter(0), self.events))
+        if kinds <= {INSERT}:
+            return
+        if DELETE in kinds:
             raise StreamInvariantError("stream contains delete events")
+        kind = next(k for k in map(itemgetter(0), self.events) if k != INSERT)
+        raise StreamInvariantError(f"unknown kind {kind!r}")
 
     def live_edges(self) -> set[Edge]:
         """Edge set left after replaying every event."""
@@ -77,8 +82,24 @@ class EdgeStream:
             raise StreamInvariantError(f"event {pos}: {problem}")
 
 
-def _first_violation(events: Iterable[StreamEvent], n: int) -> tuple[int, str] | None:
-    """1-based position of the first event the stream rules forbid and why, or None."""
+def _first_violation(events: Sequence[StreamEvent], n: int) -> tuple[int, str] | None:
+    """1-based position of the first event the stream rules forbid and why, or None.
+
+    A valid insert-only stream is accepted in bulk, by checks that each walk
+    the whole sequence in C: every kind is an insert, every event has
+    0 <= u < v < n, and no event repeats. A stream with deletes, or one that
+    fails a check, goes through the per-event loop, the only code that names
+    a violation.
+    """
+    first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
+    if (
+        set(map(first, events)) == {INSERT}
+        and min(map(second, events)) >= 0
+        and max(map(third, events)) < n
+        and all(map(lt, map(second, events), map(third, events)))
+        and len(set(events)) == len(events)
+    ):
+        return None
     live: set[Edge] = set()
     for pos, (kind, u, v) in enumerate(events, 1):
         if not 0 <= u < v < n:
@@ -122,7 +143,7 @@ def order_stream(g: Graph, policy: OrderingPolicy | str, seed: int = 0) -> EdgeS
     policy = OrderingPolicy(policy)
     edges = list(g.edges)
     if policy is OrderingPolicy.UNIFORM_RANDOM:
-        random.Random(seed).shuffle(edges)
+        _shuffle(edges, random.Random(seed).getrandbits)
     elif policy is not OrderingPolicy.AS_GENERATED:
         deg = g.degrees
         if policy is OrderingPolicy.STAR_BY_STAR:
@@ -142,9 +163,25 @@ def order_stream(g: Graph, policy: OrderingPolicy | str, seed: int = 0) -> EdgeS
             edges.sort(key=lambda e: (-min(deg[e[0]], deg[e[1]]), -max(deg[e[0]], deg[e[1]]), e))
     return EdgeStream(
         n=g.n,
-        events=tuple((INSERT, u, v) for u, v in edges),
+        events=tuple([(INSERT, u, v) for u, v in edges]),
         c_declared=g.c_declared,
     )
+
+
+def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
+    """Permute items in place exactly as ``random.Random.shuffle`` does.
+
+    Fisher-Yates from the end: position i swaps with j drawn below i + 1 the
+    way CPython's ``Random._randbelow`` draws, ``getrandbits`` of (i + 1)'s
+    bit length until the value is at most i. Inlining the draw saves the two
+    method calls ``shuffle`` makes per item.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +319,9 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     (cap+1)-core, and that core is connected and holds both endpoints of e:
     the check peels only the region of degree > cap reachable from one end.
 
-    Each step draws among the open actions (real, decoy-in, decoy-out) and
-    each decoy's endpoints with ``getrandbits`` rejection, the way CPython's
+    The real edges' order, each step's pick among the open actions (real,
+    decoy-in, decoy-out) and each decoy's endpoints are drawn with
+    ``getrandbits`` rejection, the way CPython's ``rng.shuffle``,
     ``rng.choice`` and ``rng.randrange`` draw, so the streams are the ones
     those calls build.
     """
@@ -294,10 +332,9 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
     m = g.m
     target_decoys = int(delete_fraction * m)
     check_dynamic_budget(m + 2 * target_decoys, eff_c, g.n)
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(seed).getrandbits
     real = list(g.edges)
-    rng.shuffle(real)
+    _shuffle(real, getrandbits)
     real_idx = 0
     pending = target_decoys
     n = g.n
@@ -420,33 +457,39 @@ def parse_stream(text: str) -> EdgeStream:
 
     Raises ParseError (with the line number) on malformed lines and on
     liveness violations such as deleting an edge that was never inserted.
-    Liveness is checked in one pass after the lines are read, and a violation
-    on a line before the first malformed one is still the error raised.
+    Each line is first tested as an event line; blank lines, comments, the
+    header and malformed lines are handled after that test. Liveness is
+    checked once the lines are read: a bulk accept of the whole stream, then
+    the per-event loop only if that accept fails, and a violation on a line
+    before the first malformed one is still the error raised.
     """
     n: int | None = None
     c: int | None = None
     events: list[StreamEvent] = []
+    append = events.append
+    kinds = (INSERT, DELETE)
     malformed: ParseError | None = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
+    for line_no, parts in enumerate(map(str.split, text.splitlines()), 1):
+        if len(parts) == 3 and parts[0] in kinds and n is not None:
+            try:
+                append((parts[0], int(parts[1]), int(parts[2])))
+            except ValueError:
+                malformed = ParseError(line_no, "endpoints are not integers")
+                break
+            continue
         if not parts:
             continue
         if parts[0][0] == "#":
-            found = _ARBORICITY_COMMENT.match(raw.strip())
+            # the pattern reads every whitespace run alike, so the split words serve
+            found = _ARBORICITY_COMMENT.match(" ".join(parts))
             if found:
                 c = int(found.group(1))
             continue
         if n is None:
             n = _parse_header(line_no, parts)
             continue
-        if len(parts) != 3 or parts[0] not in (INSERT, DELETE):
-            malformed = ParseError(line_no, "expected '+ u v' or '- u v'")
-            break
-        try:
-            events.append((parts[0], int(parts[1]), int(parts[2])))
-        except ValueError:
-            malformed = ParseError(line_no, "endpoints are not integers")
-            break
+        malformed = ParseError(line_no, "expected '+ u v' or '- u v'")
+        break
     if n is None:
         raise ParseError(1, "missing 'n <count>' header")
     violation = _first_violation(events, n)

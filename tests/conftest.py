@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from functools import cache
 
 import pytest
 
-from arbormatch import Graph, build_graph
+from arbormatch import EdgeStream, Graph, ParseError, build_graph
+from arbormatch.graphs import _parse_header
 
 
 def path_graph(n: int) -> Graph:
@@ -194,3 +196,65 @@ def _binomial_tail(k: int, p: float, at_least: int) -> float:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA5B)
+
+
+def reference_uniform_random_events(g: Graph, seed: int) -> tuple:
+    """Reference for order_stream's uniform-random policy: ``random.shuffle``
+    of the edge list, then one insert event per edge."""
+    edges = list(g.edges)
+    random.Random(seed).shuffle(edges)
+    return tuple(("+", u, v) for u, v in edges)
+
+
+def reference_parse_stream(text: str) -> EdgeStream:
+    """Reference for parse_stream: the per-line parser that checks liveness
+    with one loop over every event, and locates a violation by re-splitting
+    the text. Both must return one stream or raise one (line, message)."""
+    n = None
+    c = None
+    events = []
+    malformed = None
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0][0] == "#":
+            found = re.match(r"#\s*arboricity\s+(\d+)$", raw.strip())
+            if found:
+                c = int(found.group(1))
+            continue
+        if n is None:
+            n = _parse_header(line_no, parts)
+            continue
+        if len(parts) != 3 or parts[0] not in ("+", "-"):
+            malformed = ParseError(line_no, "expected '+ u v' or '- u v'")
+            break
+        try:
+            events.append((parts[0], int(parts[1]), int(parts[2])))
+        except ValueError:
+            malformed = ParseError(line_no, "endpoints are not integers")
+            break
+    if n is None:
+        raise ParseError(1, "missing 'n <count>' header")
+    live = set()
+    for pos, (kind, u, v) in enumerate(events, 1):
+        problem = None
+        if not 0 <= u < v < n:
+            problem = f"endpoints ({u}, {v}) must satisfy 0 <= u < v < n={n}"
+        elif kind == "+":
+            if (u, v) in live:
+                problem = f"insert of live edge {(u, v)}"
+            live.add((u, v))
+        elif (u, v) not in live:
+            problem = f"delete of non-live edge {(u, v)}"
+        else:
+            live.remove((u, v))
+        if problem is not None:
+            records = [
+                i for i, raw in enumerate(text.splitlines(), 1)
+                if raw.split() and raw.split()[0][0] != "#"
+            ]
+            raise ParseError(records[pos], problem)  # records[0] is the header's
+    if malformed is not None:
+        raise malformed
+    return EdgeStream(n=n, events=tuple(events), c_declared=c)

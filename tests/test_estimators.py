@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import pathlib
@@ -113,6 +114,21 @@ def test_insert_only_consumers_reject_a_final_delete(consumer):
         INSERT_ONLY_CONSUMERS[consumer](bad)
 
 
+@pytest.mark.parametrize("consumer", sorted(INSERT_ONLY_CONSUMERS))
+def test_insert_only_consumers_reject_an_unknown_kind(consumer):
+    bad = EdgeStream(n=3, events=(("*", 0, 1), insert_event(1, 2)))
+    with pytest.raises(StreamInvariantError, match=r"^unknown kind '\*'$"):
+        INSERT_ONLY_CONSUMERS[consumer](bad)
+    both = EdgeStream(n=3, events=(("*", 0, 1), delete_event(1, 2)))
+    with pytest.raises(StreamInvariantError, match="^stream contains delete events$"):
+        INSERT_ONLY_CONSUMERS[consumer](both)
+
+
+def test_dynamic_rejects_an_unknown_kind():
+    with pytest.raises(StreamInvariantError, match="^unknown kind 'x'$"):
+        dynamic_estimate(EdgeStream(3, (("+", 0, 1), ("x", 1, 2))), 1, 3, 0.5, 0)
+
+
 def test_bad_parameters_win_over_deletes():
     bad = EdgeStream(n=2, events=(insert_event(0, 1), delete_event(0, 1)))
     with pytest.raises(ConfigError):
@@ -164,6 +180,14 @@ def test_alg1_state_counter_invariants(rng):
             assert w not in sampled
             assert 1 <= lw <= len(nbrs[w])  # lower-bound property
         assert state.edges == sum(1 for u, v in live if u in sampled or v in sampled)
+
+
+def test_alg1_delete_of_an_edge_never_stored_changes_nothing():
+    params = Alg1Params(mu=3, p=1.0, c=1, epsilon=0.5)
+    state = _replay(Alg1State(4, params, 0), _stream(4, [(0, 1), (1, 2), (2, 3)]).events)
+    items, neighbors, lower = state.items(), copy.deepcopy(state.neighbors), dict(state.lower)
+    state.apply_delete(0, 2)  # both endpoints are sampled at p = 1, and 0 never stored 2
+    assert (state.items(), state.neighbors, state.lower) == (items, neighbors, lower)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])

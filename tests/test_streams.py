@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 import re
 
 import pytest
@@ -24,7 +25,13 @@ from arbormatch import (
 from arbormatch.graphs import Graph
 from arbormatch.streams import OrderingPolicy, pruefer_to_edges
 
-from conftest import random_graph, reference_union_of_forests
+from conftest import (
+    path_graph,
+    random_graph,
+    reference_parse_stream,
+    reference_uniform_random_events,
+    reference_union_of_forests,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +205,14 @@ def test_order_stream_uniform_random_deterministic():
     b = order_stream(g, "uniform-random", seed=9)
     assert a == b
     assert sorted((u, v) for _, u, v in a.events) == sorted(g.edges)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 1000, 15000])
+def test_order_stream_uniform_random_matches_the_shuffle_reference(m):
+    g = path_graph(m + 1) if m < 3 else generate_random_tree(m + 1, seed=m)
+    for seed in range(4):
+        events = order_stream(g, "uniform-random", seed).events
+        assert events == reference_uniform_random_events(g, seed), seed
 
 
 def test_order_stream_star_by_star_groups_hubs():
@@ -391,3 +406,73 @@ def test_parse_reports_the_first_bad_line():
 def test_parse_ignores_plain_comments():
     s = parse_stream("# a note\nn 2\n# another\n+ 0 1\n")
     assert s.n == 2 and len(s.events) == 1 and s.c_declared is None
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.line_no, str(err)
+
+
+def _mutations(text: str, rng: random.Random) -> list[str]:
+    """Texts one fault (or one harmless edit) away from a serialized stream."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines) if line[0] in "+-")
+    pick = rng.randrange(first, len(lines))
+    other = rng.randrange(first, len(lines))
+    kind, u, v = lines[pick].split()
+    n = int(lines[0].split()[1])
+    inserts = [i for i in range(first, len(lines)) if lines[i][0] == "+"]
+    dup = rng.choice(inserts)
+    swapped = list(lines)
+    swapped[pick], swapped[other] = swapped[other], swapped[pick]
+
+    def edited(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+    noisy = list(lines)
+    noisy[pick:pick] = ["# note", "", " \t ", "  # arboricity 3  "]
+    early = list(lines)  # a delete moved before its insert, if there is one
+    deletes = [i for i in range(first, len(lines)) if lines[i][0] == "-"]
+    if deletes:
+        early.insert(first, early.pop(rng.choice(deletes)))
+    return [
+        "\n".join(early) + "\n",
+        "\n".join(lines + [lines[dup]]) + "\n",  # a duplicate insert at the end
+        "\n".join(lines[: dup + 1] + [lines[dup]] + lines[dup + 1 :]) + "\n",
+        "\n".join(swapped) + "\n",
+        "\n".join(lines[1:]) + "\n",  # the header dropped
+        "\r\n".join(noisy) + "\r\n",
+        edited(pick, f"{kind} {u} x{v}"),
+        edited(pick, f"* {u} {v}"),
+        edited(pick, f"{kind} {u} {v} 0"),
+        edited(pick, f"{kind} {u} {n}"),
+        edited(pick, f"{kind} -1 {v}"),
+        edited(pick, f"{kind} {v} {u}"),
+    ]
+
+
+def test_parse_matches_the_reference_parser():
+    rng = random.Random(0xA11)
+    texts = []
+    for seed in range(12):
+        g = generate_union_of_forests(rng.randint(2, 30), rng.randint(1, 2), seed=seed)
+        for stream in (
+            order_stream(g, "uniform-random", seed),
+            generate_dynamic_stream(g, rng.choice((0.25, 0.5, 1.0)), seed),
+        ):
+            text = serialize_stream(stream)
+            assert parse_stream(text) == stream
+            texts.append(text)
+            texts.extend(_mutations(text, rng))
+    texts += ["", "n 0\n", "# a note\n", "n 3\r\n+ 0 1\r\n", "n 2\n+ 0 1\n- 0 1\n- 0 1\n"]
+    # the arboricity comment with odd whitespace, a trailing word and another case
+    for comment in ("#arboricity\t\t5", "#\u00a0arboricity\u20034 ", "# arboricity 2 x", "# Arboricity 2"):
+        texts.append(f"n 2\n{comment}\n+ 0 1\n")
+    failures = 0
+    for text in texts:
+        got = _parse_outcome(parse_stream, text)
+        assert got == _parse_outcome(reference_parse_stream, text), text
+        failures += not isinstance(got, EdgeStream)
+    assert 0 < failures < len(texts)
