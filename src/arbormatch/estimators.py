@@ -373,76 +373,76 @@ def alg4_estimate_e_alpha(
     at_top = [0] * num_levels  # live tests per top level
     live = 0  # live tests at the floor: those whose top is at or above it
     floor = 0  # levels below the floor are terminated
-    # A live test is a list [u, top, r_u, r_v]: the edge's smaller endpoint, its
-    # top level (-1 once failed) and each endpoint's count of later edges.
-    by_vertex: dict[int, list[list[int]]] = {}
-    tests_at = by_vertex.get
+    # A test is a one-slot list [top]: the edge's top level, -1 once it fails; both
+    # endpoints' queues share it. by_vertex[x] is x's queue, [k, start_1, test_1,
+    # start_2, test_2, ...]: k counts the events at x since the queue was made, and
+    # start_i is k when test_i began, so test_i has seen k - start_i later edges at
+    # x. Tests enter in creation order, so the front has seen the most: feeding x
+    # pops the front while it has failed, gone stale (top below the floor) or just
+    # passed alpha, and a stale entry behind a live one waits until it reaches the
+    # front. A queue whose last test leaves is deleted.
+    by_vertex: dict[int, list] = {}
+    queue_at = by_vertex.get
     peak = 0
     all_tests: list[tuple[list[int], int, int, int]] = []  # (test, top, position, start floor)
     max_live = [0] * num_levels  # filled only for the trace
 
-    # The loop makes up to one test list per edge and no reference cycles, so
-    # the cyclic collector has nothing to free in it. Left on, its passes take
-    # about a quarter of a call on 100k edges, at points set by allocation counts.
+    # The loop makes up to one test and two queue slots per edge and no reference
+    # cycles, so the cyclic collector has nothing to free in it. Left on, its passes
+    # take about a quarter of a call on 100k edges, at points set by allocation counts.
     collecting = gc.isenabled()
     gc.disable()
     try:
         for pos, (_, u, v) in enumerate(stream.events, 1):
             # feed existing tests before this event's own sampling decision, u's
-            # list then v's, each fetched once; a list that empties leaves by_vertex
-            tests_u = tests_at(u)
-            if tests_u is not None:
-                keep = 0
-                for tst in tests_u:
-                    if tst[1] < floor:
-                        continue  # failed or below the floor: a stale entry, drop it
-                    side = 2 if u == tst[0] else 3
-                    tst[side] += 1
-                    if tst[side] > alpha:
-                        at_top[tst[1]] -= 1
+            # queue then v's, each fetched once
+            queue_u = queue_at(u)
+            if queue_u is not None:
+                k = queue_u[0] + 1
+                queue_u[0] = k
+                front = queue_u[2]
+                while front[0] < floor or k - queue_u[1] > alpha:
+                    top = front[0]
+                    if top >= floor:  # live, and past alpha at u: it fails
+                        at_top[top] -= 1
                         live -= 1
-                        tst[1] = -1
-                        continue
-                    tests_u[keep] = tst
-                    keep += 1
-                if not keep:
-                    del by_vertex[u]
-                    tests_u = None
-                elif keep < len(tests_u):
-                    del tests_u[keep:]
-            tests_v = tests_at(v)
-            if tests_v is not None:
-                keep = 0
-                for tst in tests_v:
-                    if tst[1] < floor:
-                        continue
-                    side = 2 if v == tst[0] else 3
-                    tst[side] += 1
-                    if tst[side] > alpha:
-                        at_top[tst[1]] -= 1
+                        front[0] = -1
+                    del queue_u[1:3]
+                    if len(queue_u) == 1:
+                        del by_vertex[u]
+                        queue_u = None
+                        break
+                    front = queue_u[2]
+            queue_v = queue_at(v)
+            if queue_v is not None:
+                k = queue_v[0] + 1
+                queue_v[0] = k
+                front = queue_v[2]
+                while front[0] < floor or k - queue_v[1] > alpha:
+                    top = front[0]
+                    if top >= floor:
+                        at_top[top] -= 1
                         live -= 1
-                        tst[1] = -1
-                        continue
-                    tests_v[keep] = tst
-                    keep += 1
-                if not keep:
-                    del by_vertex[v]
-                    tests_v = None
-                elif keep < len(tests_v):
-                    del tests_v[keep:]
+                        front[0] = -1
+                    del queue_v[1:3]
+                    if len(queue_v) == 1:
+                        del by_vertex[v]
+                        queue_v = None
+                        break
+                    front = queue_v[2]
             top = int(-log(1.0 - rand()) / log_growth)
             if top > top_level:  # a compare, not min(): a builtin call per event costs more
                 top = top_level
             if top >= floor:
-                tst = [u, top, 0, 0]
-                # a new list starts empty, so its first append gives it four slots at
-                # once; [tst] would hold one and reallocate at the next test
-                if tests_u is None:
-                    tests_u = by_vertex[u] = []
-                tests_u.append(tst)
-                if tests_v is None:
-                    tests_v = by_vertex[v] = []
-                tests_v.append(tst)
+                tst = [top]
+                if queue_u is None:
+                    by_vertex[u] = [0, 0, tst]
+                else:
+                    queue_u += (queue_u[0], tst)
+                if queue_v is None:
+                    by_vertex[v] = [0, 0, tst]
+                else:
+                    queue_v += (queue_v[0], tst)
                 at_top[top] += 1
                 live += 1
                 if collect_trace:
@@ -459,6 +459,10 @@ def alg4_estimate_e_alpha(
                 if 3 * live > peak:
                     peak = 3 * live
     finally:
+        # free the queues and the tests only they hold while the collector is still
+        # off: each freed object takes back its allocation count, so resuming finds
+        # no pass due, where ~180k live objects on 100k edges would force one
+        by_vertex.clear()
         if collecting:
             gc.enable()
 
@@ -481,7 +485,7 @@ def alg4_estimate_e_alpha(
         for tst, top, pos, low in all_tests:
             for i in range(low, top + 1):
                 started[i].append(pos)
-            for i in range(floor, tst[1] + 1):  # none for a failed test
+            for i in range(floor, tst[0] + 1):  # none for a failed test
                 survivors[i].append(pos)
         trace = {
             "started": started,
@@ -566,8 +570,9 @@ def dynamic_estimate(
     4*t^2 edges. If the set survives, r is the greedy maximal matching over it
     in insertion order, and twice r is returned when r < t; otherwise, and
     after an overflow (``params["greedy_r"]`` is None), the degree-sampling
-    estimate is returned. Streams longer than the 4*c*n budget, and events of
-    any kind but insert or delete, are rejected.
+    estimate is returned. Streams longer than the 4*c*n budget, events whose
+    endpoints break 0 <= u < v < n, and events of any kind but insert or
+    delete, are rejected.
 
     ``capacity_override`` is a test hook that replaces 4*t^2, so small inputs
     overflow the set.
@@ -575,6 +580,7 @@ def dynamic_estimate(
     n = stream.n
     t, params = _cutoff_and_sampler(n, c, mu, epsilon, dynamic_greedy_cutoff)
     check_dynamic_budget(len(stream.events), c, n)
+    stream.require_endpoints()
     capacity = 4 * t * t if capacity_override is None else capacity_override
     if capacity < 1:
         raise ConfigError(f"the live-edge set needs capacity >= 1, got {capacity}")

@@ -5,7 +5,14 @@ from functools import cache
 
 import pytest
 
-from arbormatch import EdgeStream, Graph, ParseError, build_graph
+from arbormatch import EdgeStream, Estimate, Graph, ParseError, build_graph
+from arbormatch.estimators import (
+    _check_c_epsilon,
+    alg4_level_cap,
+    alg4_num_levels,
+    alg4_selection_threshold,
+    check_alpha,
+)
 from arbormatch.graphs import _parse_header
 
 
@@ -258,3 +265,107 @@ def reference_parse_stream(text: str) -> EdgeStream:
     if malformed is not None:
         raise malformed
     return EdgeStream(n=n, events=tuple(events), c_declared=c)
+
+
+def reference_alg4_estimate_e_alpha(
+    stream: EdgeStream, alpha, c, epsilon, seed, *, tau_override=None, collect_trace=False
+) -> Estimate:
+    """Reference for alg4_estimate_e_alpha: the loop that keeps a list of tests
+    per vertex, each test a list [u, top, r_u, r_v] with a later-edge counter
+    per endpoint, and walks and rebuilds both endpoints' lists on every event.
+    Both must return one value, space_peak, params and trace."""
+    _check_c_epsilon(c, epsilon)
+    check_alpha(alpha)
+    stream.require_insert_only()
+    n = stream.n
+    num_levels = alg4_num_levels(n, c, epsilon)
+    tau = alg4_level_cap(n, alpha, c, epsilon) if tau_override is None else tau_override
+    tau_prime = alg4_selection_threshold(n, epsilon)
+    growth = 1.0 + epsilon
+    top_level = num_levels - 1
+    rand = random.Random(seed).random
+    at_top = [0] * num_levels
+    live = 0
+    floor = 0
+    by_vertex = {}
+    peak = 0
+    all_tests = []
+    max_live = [0] * num_levels
+    for pos, (_, u, v) in enumerate(stream.events, 1):
+        for x in (u, v):
+            tests = by_vertex.get(x, [])
+            kept = []
+            for tst in tests:
+                if tst[1] < floor:
+                    continue  # failed or below the floor
+                side = 2 if x == tst[0] else 3
+                tst[side] += 1
+                if tst[side] > alpha:
+                    at_top[tst[1]] -= 1
+                    live -= 1
+                    tst[1] = -1
+                    continue
+                kept.append(tst)
+            if kept:
+                by_vertex[x] = kept
+            else:
+                by_vertex.pop(x, None)
+        top = min(int(-math.log(1.0 - rand()) / math.log(growth)), top_level)
+        if top >= floor:
+            tst = [u, top, 0, 0]
+            by_vertex.setdefault(u, []).append(tst)
+            by_vertex.setdefault(v, []).append(tst)
+            at_top[top] += 1
+            live += 1
+            if collect_trace:
+                all_tests.append((tst, top, pos, floor))
+                count = 0
+                for i in range(top_level, floor - 1, -1):
+                    count += at_top[i]
+                    max_live[i] = max(max_live[i], count)
+            while floor < num_levels and live > tau:
+                live -= at_top[floor]
+                floor += 1
+            peak = max(peak, 3 * live)
+
+    threshold = math.inf if floor == 0 else tau_prime * (1.0 + epsilon)
+    value = None
+    selected = None
+    count = live
+    for i in range(floor, num_levels):
+        if count <= threshold:
+            selected = i
+            value = count / growth ** (-i) if i else count
+            break
+        count -= at_top[i]
+
+    trace = None
+    if collect_trace:
+        started = {i: [] for i in range(num_levels)}
+        survivors = {i: [] for i in range(num_levels)}
+        for tst, top, pos, low in all_tests:
+            for i in range(low, top + 1):
+                started[i].append(pos)
+            for i in range(floor, tst[1] + 1):
+                survivors[i].append(pos)
+        trace = {
+            "started": started,
+            "survivors": survivors,
+            "max_live": max_live,
+            "terminated": [i < floor for i in range(num_levels)],
+        }
+    return Estimate(
+        value=value,
+        space_peak=peak,
+        params={
+            "algorithm": "alg4",
+            "alpha": alpha,
+            "c": c,
+            "epsilon": epsilon,
+            "tau": tau,
+            "tau_prime": tau_prime,
+            "num_levels": num_levels,
+            "selected_level": selected,
+        },
+        trace=trace,
+    )

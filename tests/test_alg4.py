@@ -19,8 +19,9 @@ from arbormatch import (
     order_stream,
 )
 from arbormatch.estimators import alg4_level_cap, alg4_num_levels
+from arbormatch.streams import OrderingPolicy
 
-from conftest import random_graph
+from conftest import random_graph, reference_alg4_estimate_e_alpha
 
 
 def _stream(n, edges):
@@ -96,6 +97,30 @@ def test_cyclic_collector_is_paused_in_the_loop_and_left_as_found():
     finally:
         gc.callbacks.remove(count)
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_the_call_leaves_no_collector_pass_due():
+    # the loop's tests and queues are freed before the collector resumes, so their
+    # allocation counts are taken back and resuming starts no pass
+    st = order_stream(generate_union_of_forests(3000, 1, seed=0), "uniform-random", 0)
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        gc.enable()
+        gc.collect()
+        passes.clear()
+        est = alg4_estimate_e_alpha(st, alpha=6, c=1, epsilon=0.5, seed=0)
+        assert passes == []
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+    assert est.space_peak > 3000  # thousands of tests were live at once
 
 
 def test_live_tests_cost_at_most_64_bytes_per_space_item():
@@ -294,3 +319,28 @@ def test_sampled_regime_tracks_the_offline_count():
             if (1 - 3 * epsilon) * exact <= est.value <= (1 + 3 * epsilon) * exact:
                 hits += 1
         assert hits >= 0.9 * len(seeds)
+
+
+def _differential_corpus():
+    # per c: union-of-forests under all five orderings, and a star forest whose
+    # 60-leaf hubs see far more than alpha later edges
+    for c in (1, 2, 3):
+        g = generate_union_of_forests(200, c, seed=c)
+        for policy in OrderingPolicy:
+            yield c, order_stream(g, policy, c)
+        yield c, order_stream(generate_star_forest(10, 60), "uniform-random", c)
+
+
+def test_queue_loop_matches_the_per_endpoint_walk():
+    rose = []
+    for c, stream in _differential_corpus():
+        for alpha in (1, 2.5, 6 * c):
+            for tau in (None, 40, 400, math.inf):
+                for seed in range(2):
+                    kwargs = dict(tau_override=tau, collect_trace=True)
+                    got = alg4_estimate_e_alpha(stream, alpha, c, 0.5, seed, **kwargs)
+                    want = reference_alg4_estimate_e_alpha(stream, alpha, c, 0.5, seed, **kwargs)
+                    assert got == want, (c, alpha, tau, seed)
+                    if tau == 40 and alpha == 6 * c:
+                        rose.append(got.trace["terminated"][0])
+    assert len(rose) == 36 and all(rose)  # at alpha = 6c, tau = 40 always raised the floor

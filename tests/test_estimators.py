@@ -124,6 +124,29 @@ def test_insert_only_consumers_reject_an_unknown_kind(consumer):
         INSERT_ONLY_CONSUMERS[consumer](both)
 
 
+# streams whose endpoints break 0 <= u < v < n, and the event that breaks it
+BAD_ENDPOINTS = {
+    "past-n": (EdgeStream(3, (("+", 0, 7), ("+", 1, 9))), 1),
+    "reversed": (EdgeStream(3, (("+", 0, 1), ("+", 2, 1))), 2),
+    "self-loop": (EdgeStream(3, (("+", 0, 1), ("+", 1, 2), ("+", 2, 2))), 3),
+    "negative": (EdgeStream(3, (("+", -1, 2),)), 1),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENDPOINTS))
+@pytest.mark.parametrize("consumer", [*sorted(INSERT_ONLY_CONSUMERS), "dynamic"])
+def test_every_consumer_rejects_endpoints_outside_the_stream_rule(consumer, bad):
+    # unchecked, alg2 read 4 and greedy_maximal_matching 2 on the 3-vertex "past-n" stream
+    stream, pos = BAD_ENDPOINTS[bad]
+    _, u, v = stream.events[pos - 1]
+    message = f"event {pos}: endpoints ({u}, {v}) must satisfy 0 <= u < v < n=3"
+    with pytest.raises(StreamInvariantError, match=f"^{re.escape(message)}$"):
+        stream.validate()  # the same words as validate()
+    run = INSERT_ONLY_CONSUMERS.get(consumer, lambda st: dynamic_estimate(st, 1, 3, 0.5, 0))
+    with pytest.raises(StreamInvariantError, match=f"^{re.escape(message)}$"):
+        run(stream)
+
+
 def test_dynamic_rejects_an_unknown_kind():
     with pytest.raises(StreamInvariantError, match="^unknown kind 'x'$"):
         dynamic_estimate(EdgeStream(3, (("+", 0, 1), ("x", 1, 2))), 1, 3, 0.5, 0)
@@ -252,6 +275,24 @@ def test_alg1_mean_matches_the_exact_mean_on_forests(forest, p):
     st = order_stream(g, "uniform-random", 0)
     params = Alg1Params(mu=3, p=p, c=1, epsilon=0.5)
     values = [alg1_estimate(st, params, seed).value for seed in range(400)]
+    mean = statistics.fmean(values)
+    stderr = statistics.stdev(values) / math.sqrt(len(values))
+    assert abs(mean - alg1_exact_mean(g, p, mu=3)) <= 4 * stderr
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("forest", ["random-tree", "union-of-forests"])
+def test_alg1_state_mean_after_churn_matches_the_final_forest(forest, p):
+    # deletes undo inserts: after a churn stream the state has the exact mean of
+    # the forest left live, as if that forest had been inserted alone
+    g = FORESTS[forest]()
+    churn = generate_dynamic_stream(g, 0.5, 0)
+    assert churn.live_edges() == set(g.edges)
+    assert sum(kind == "-" for kind, _, _ in churn.events) > g.m // 3
+    params = Alg1Params(mu=3, p=p, c=1, epsilon=0.5)
+    values = [
+        _replay(Alg1State(g.n, params, seed), churn.events).estimate() for seed in range(400)
+    ]
     mean = statistics.fmean(values)
     stderr = statistics.stdev(values) / math.sqrt(len(values))
     assert abs(mean - alg1_exact_mean(g, p, mu=3)) <= 4 * stderr
