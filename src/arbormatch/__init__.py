@@ -17,7 +17,6 @@ from .estimators import (
 )
 from .graphs import (
     Graph,
-    brute_force_matching_size,
     build_graph,
     characterize,
     degeneracy,
@@ -65,7 +64,6 @@ __all__ = [
     "alg1_estimate",
     "alg2_estimate",
     "alg4_estimate_e_alpha",
-    "brute_force_matching_size",
     "build_graph",
     "characterize",
     "check_lemmas",

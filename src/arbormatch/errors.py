@@ -6,8 +6,10 @@ class GraphError(ValueError):
 
 
 class StreamInvariantError(ValueError):
-    """An event sequence breaks a stream rule: liveness, insert-only input where
-    a consumer needs it, or the 4*c*n event budget of a dynamic stream."""
+    """An event sequence breaks a stream rule: its shape (kinds and endpoints,
+    checked when an EdgeStream is built), liveness (checked by validate() and
+    parse_stream), insert-only input where a consumer needs it, or the 4*c*n
+    event budget of a dynamic stream."""
 
 
 class ParseError(ValueError):

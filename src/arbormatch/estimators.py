@@ -32,9 +32,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, StreamInvariantError
+from .errors import ConfigError
 from .graphs import greedy_maximal_matching
-from .streams import DELETE, INSERT, EdgeStream, StreamEvent, check_dynamic_budget
+from .streams import INSERT, EdgeStream, StreamEvent, check_dynamic_budget
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -570,9 +570,9 @@ def dynamic_estimate(
     4*t^2 edges. If the set survives, r is the greedy maximal matching over it
     in insertion order, and twice r is returned when r < t; otherwise, and
     after an overflow (``params["greedy_r"]`` is None), the degree-sampling
-    estimate is returned. Streams longer than the 4*c*n budget, events whose
-    endpoints break 0 <= u < v < n, and events of any kind but insert or
-    delete, are rejected.
+    estimate is returned. Streams longer than the 4*c*n budget are rejected;
+    the stream's shape (kinds and endpoints) was checked at its construction,
+    and its liveness is the caller's to check with validate().
 
     ``capacity_override`` is a test hook that replaces 4*t^2, so small inputs
     overflow the set.
@@ -580,7 +580,6 @@ def dynamic_estimate(
     n = stream.n
     t, params = _cutoff_and_sampler(n, c, mu, epsilon, dynamic_greedy_cutoff)
     check_dynamic_budget(len(stream.events), c, n)
-    stream.require_endpoints()
     capacity = 4 * t * t if capacity_override is None else capacity_override
     if capacity < 1:
         raise ConfigError(f"the live-edge set needs capacity >= 1, got {capacity}")
@@ -606,12 +605,10 @@ def dynamic_estimate(
             items = state.edges + counters + len(lower) + held
             if items > peak:
                 peak = items
-        elif kind == DELETE:
+        else:  # a delete: construction admits no other kind
             state_delete(u, v)
             if live is not None:
                 live.pop((INSERT, u, v), None)
-        else:
-            raise StreamInvariantError(f"unknown kind {kind!r}")
     r = None if live is None else greedy_maximal_matching(EdgeStream(n, tuple(live)))
     s = state.estimate()
     return _composite(

@@ -20,9 +20,6 @@ if TYPE_CHECKING:
 
 Edge = tuple[int, int]
 
-# Hard cap for the exhaustive matching oracle (2^m subsets, implicitly).
-BRUTE_FORCE_EDGE_CAP = 24
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -285,37 +282,6 @@ def maximum_matching_size(g: Graph) -> int:
         if match[root] < 0 and find_augmenting_path(root):
             size += 1
     return size
-
-
-def brute_force_matching_size(g: Graph) -> int:
-    """Exhaustive maximum matching size by branching over every edge subset.
-
-    Independent of the augmenting-path implementation; each edge is either
-    included (when disjoint from the picks so far) or skipped. Capped at
-    BRUTE_FORCE_EDGE_CAP edges.
-    """
-    if g.m > BRUTE_FORCE_EDGE_CAP:
-        raise GraphError(
-            f"{g.m} edges exceeds the exhaustive cap of {BRUTE_FORCE_EDGE_CAP}"
-        )
-    edges = g.edges
-    m = len(edges)
-    best = 0
-
-    def branch(i: int, used_mask: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if i == m or size + (m - i) <= best:
-            return
-        u, v = edges[i]
-        bit = (1 << u) | (1 << v)
-        if not used_mask & bit:
-            branch(i + 1, used_mask | bit, size + 1)
-        branch(i + 1, used_mask, size)
-
-    branch(0, 0, 0)
-    return best
 
 
 def forest_matching_size(g: Graph) -> int:

@@ -13,7 +13,7 @@ import random
 import re
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from operator import itemgetter
@@ -46,34 +46,39 @@ def delete_event(u: int, v: int) -> StreamEvent:
 
 @dataclass(frozen=True)
 class EdgeStream:
-    """Ordered sequence of insert/delete events over vertices [0, n)."""
+    """Ordered sequence of insert/delete events over vertices [0, n).
+
+    Construction checks the stream's shape: every kind is ``+`` or ``-`` and
+    every event has 0 <= u < v < n, else StreamInvariantError names the first
+    event that breaks it, in validate()'s words. ``insert_only`` records
+    whether the stream has no delete. Liveness (no insert of a live edge, no
+    delete of a non-live one) is left to validate(), which parse_stream runs.
+    """
 
     n: int
     events: tuple[StreamEvent, ...]
     c_declared: int | None = None
+    insert_only: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # in bulk: a set of the kinds, then one comprehension with a chained compare
+        # (2-3.5x faster on Python 3.10-3.13 than three whole-sequence passes for the
+        # least u, the greatest v and u < v); only a failing stream is walked again
+        n, events = self.n, self.events
+        kinds = set(map(itemgetter(0), events))
+        if not kinds <= _KINDS or [None for _, u, v in events if not 0 <= u < v < n]:
+            for pos, (kind, u, v) in enumerate(events, 1):
+                if not 0 <= u < v < n:
+                    raise StreamInvariantError(f"event {pos}: {_endpoint_problem(u, v, n)}")
+                if kind not in _KINDS:
+                    raise StreamInvariantError(f"event {pos}: unknown kind {kind!r}")
+        object.__setattr__(self, "insert_only", DELETE not in kinds)
 
     def require_insert_only(self) -> None:
-        """Raise StreamInvariantError if any event is not an insert, or breaks
-        0 <= u < v < n; every estimator and stream oracle but the insert/delete
-        estimator calls this first."""
-        kinds = set(map(itemgetter(0), self.events))
-        if not kinds <= {INSERT}:
-            if DELETE in kinds:
-                raise StreamInvariantError("stream contains delete events")
-            kind = next(k for k in map(itemgetter(0), self.events) if k != INSERT)
-            raise StreamInvariantError(f"unknown kind {kind!r}")
-        self.require_endpoints()
-
-    def require_endpoints(self) -> None:
-        """Raise StreamInvariantError, worded as validate() words it, at the first
-        event whose endpoints break 0 <= u < v < n. The check is one pass; only a
-        failing stream is walked again to find the event."""
-        n = self.n
-        if _endpoints_hold(self.events, n):
-            return
-        for pos, (_, u, v) in enumerate(self.events, 1):
-            if not 0 <= u < v < n:
-                raise StreamInvariantError(f"event {pos}: {_endpoint_problem(u, v, n)}")
+        """Raise StreamInvariantError if the stream has a delete event; every
+        estimator and stream oracle but the insert/delete estimator calls this first."""
+        if not self.insert_only:
+            raise StreamInvariantError("stream contains delete events")
 
     def live_edges(self) -> set[Edge]:
         """Edge set left after replaying every event."""
@@ -87,42 +92,33 @@ class EdgeStream:
         return live
 
     def validate(self) -> None:
-        """Check endpoint ranges and liveness rules; raises StreamInvariantError."""
-        violation = _first_violation(self.events, self.n)
+        """Check the liveness rules; raises StreamInvariantError."""
+        violation = _first_violation(self.events, self.n, self.insert_only)
         if violation is not None:
             pos, problem = violation
             raise StreamInvariantError(f"event {pos}: {problem}")
 
 
-def _endpoints_hold(events: Sequence[StreamEvent], n: int) -> bool:
-    """Whether every event has 0 <= u < v < n.
-
-    One comprehension that unpacks each event and makes one chained compare:
-    2-3.5x faster on Python 3.10-3.13 than three whole-sequence passes (the
-    least u, the greatest v, ``all(map(lt, ...))``), which call an
-    ``itemgetter`` per event per pass.
-    """
-    return not [None for _, u, v in events if not 0 <= u < v < n]
+_KINDS = frozenset((INSERT, DELETE))
 
 
 def _endpoint_problem(u: int, v: int, n: int) -> str:
     return f"endpoints ({u}, {v}) must satisfy 0 <= u < v < n={n}"
 
 
-def _first_violation(events: Sequence[StreamEvent], n: int) -> tuple[int, str] | None:
+def _first_violation(
+    events: Sequence[StreamEvent], n: int, insert_only: bool = False
+) -> tuple[int, str] | None:
     """1-based position of the first event the stream rules forbid and why, or None.
 
-    A valid insert-only stream is accepted in bulk, by checks that each walk
-    the whole sequence once: every kind is an insert, every event has
-    0 <= u < v < n, and no event repeats. A stream with deletes, or one that
-    fails a check, goes through the per-event loop, the only code that names
-    a liveness violation.
+    Every kind is ``+`` or ``-``, as parse_stream reads them and EdgeStream
+    admits them. ``insert_only`` says the events also passed EdgeStream's
+    shape check and hold no delete; such a stream is accepted in bulk when
+    no event repeats. Any other goes through the per-event loop, the only
+    code that names a liveness violation; it names an endpoint fault too,
+    for parse_stream's events that failed construction.
     """
-    if (
-        set(map(itemgetter(0), events)) == {INSERT}
-        and _endpoints_hold(events, n)
-        and len(set(events)) == len(events)
-    ):
+    if insert_only and len(set(events)) == len(events):
         return None
     live: set[Edge] = set()
     for pos, (kind, u, v) in enumerate(events, 1):
@@ -133,12 +129,10 @@ def _first_violation(events: Sequence[StreamEvent], n: int) -> tuple[int, str] |
             if e in live:
                 return pos, f"insert of live edge {e}"
             live.add(e)
-        elif kind == DELETE:
+        else:  # a delete
             if e not in live:
                 return pos, f"delete of non-live edge {e}"
             live.remove(e)
-        else:
-            return pos, f"unknown kind {kind!r}"
     return None
 
 
@@ -482,10 +476,12 @@ def parse_stream(text: str) -> EdgeStream:
     Raises ParseError (with the line number) on malformed lines and on
     liveness violations such as deleting an edge that was never inserted.
     Each line is first tested as an event line; blank lines, comments, the
-    header and malformed lines are handled after that test. Liveness is
-    checked once the lines are read: a bulk accept of the whole stream, then
-    the per-event loop only if that accept fails, and a violation on a line
-    before the first malformed one is still the error raised.
+    header and malformed lines are handled after that test. The events read
+    are checked once the lines are: EdgeStream's construction checks their
+    shape, a valid insert-only stream is accepted in bulk when no event
+    repeats, and the per-event loop runs only for a stream with deletes or a
+    fault, so a violation on a line before the first malformed one is still
+    the error raised.
     """
     n: int | None = None
     c: int | None = None
@@ -516,10 +512,16 @@ def parse_stream(text: str) -> EdgeStream:
         break
     if n is None:
         raise ParseError(1, "missing 'n <count>' header")
-    violation = _first_violation(events, n)
+    try:
+        stream = EdgeStream(n=n, events=tuple(events), c_declared=c)
+    except StreamInvariantError:
+        # a shape fault: the loop names it, or a liveness fault on an earlier line
+        violation = _first_violation(events, n)
+    else:
+        violation = _first_violation(stream.events, n, stream.insert_only)
     if violation is not None:
         pos, problem = violation
         raise ParseError(next(islice(_record_lines(text), pos, None)), problem)
     if malformed is not None:
         raise malformed
-    return EdgeStream(n=n, events=tuple(events), c_declared=c)
+    return stream

@@ -5,7 +5,7 @@ from functools import cache
 
 import pytest
 
-from arbormatch import EdgeStream, Estimate, Graph, ParseError, build_graph
+from arbormatch import EdgeStream, Estimate, Graph, GraphError, ParseError, build_graph
 from arbormatch.estimators import (
     _check_c_epsilon,
     alg4_level_cap,
@@ -43,6 +43,50 @@ def random_graph(rng: random.Random, n: int, density: float | None = None) -> Gr
         if rng.random() < prob
     ]
     return build_graph(n, edges)
+
+
+# event lists whose endpoints break 0 <= u < v < n=3, and the event that breaks it
+BAD_ENDPOINTS = {
+    "past-n": ((("+", 0, 7), ("+", 1, 9)), 1),
+    "reversed": ((("+", 0, 1), ("+", 2, 1)), 2),
+    "self-loop": ((("+", 0, 1), ("+", 1, 2), ("+", 2, 2)), 3),
+    "negative": ((("+", -1, 2),), 1),
+}
+
+
+# Hard cap for the exhaustive matching oracle (2^m subsets, implicitly).
+BRUTE_FORCE_EDGE_CAP = 24
+
+
+def brute_force_matching_size(g: Graph) -> int:
+    """Exhaustive maximum matching size by branching over every edge subset.
+
+    Independent of the augmenting-path implementation; each edge is either
+    included (when disjoint from the picks so far) or skipped. Capped at
+    BRUTE_FORCE_EDGE_CAP edges.
+    """
+    if g.m > BRUTE_FORCE_EDGE_CAP:
+        raise GraphError(
+            f"{g.m} edges exceeds the exhaustive cap of {BRUTE_FORCE_EDGE_CAP}"
+        )
+    edges = g.edges
+    m = len(edges)
+    best = 0
+
+    def branch(i: int, used_mask: int, size: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        if i == m or size + (m - i) <= best:
+            return
+        u, v = edges[i]
+        bit = (1 << u) | (1 << v)
+        if not used_mask & bit:
+            branch(i + 1, used_mask | bit, size + 1)
+        branch(i + 1, used_mask, size)
+
+    branch(0, 0, 0)
+    return best
 
 
 def subset_dp_matching_size(g: Graph) -> int:

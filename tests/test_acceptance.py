@@ -18,7 +18,6 @@ from arbormatch import (
     alg1_estimate,
     alg2_estimate,
     alg4_estimate_e_alpha,
-    brute_force_matching_size,
     characterize,
     degeneracy,
     delete_event,
@@ -39,7 +38,14 @@ from arbormatch.estimators import alg2_greedy_cutoff, dynamic_greedy_cutoff
 from arbormatch.harness import lemma_alpha_threshold
 from arbormatch.streams import EdgeStream
 
-from conftest import naive_degeneracy, path_graph, petersen, random_graph, star_graph
+from conftest import (
+    brute_force_matching_size,
+    naive_degeneracy,
+    path_graph,
+    petersen,
+    random_graph,
+    star_graph,
+)
 
 CORPUS_SIZE = 1000
 CORPUS_MASTER_SEED = 20250810

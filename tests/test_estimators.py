@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import pathlib
@@ -34,7 +35,14 @@ from arbormatch import (
 )
 from arbormatch.estimators import Alg1State
 
-from conftest import alg1_exact_mean, path_graph, random_graph, reference_split, star_graph
+from conftest import (
+    BAD_ENDPOINTS,
+    alg1_exact_mean,
+    path_graph,
+    random_graph,
+    reference_split,
+    star_graph,
+)
 
 
 def _stream(n, edges):
@@ -116,40 +124,56 @@ def test_insert_only_consumers_reject_a_final_delete(consumer):
 
 @pytest.mark.parametrize("consumer", sorted(INSERT_ONLY_CONSUMERS))
 def test_insert_only_consumers_reject_an_unknown_kind(consumer):
-    bad = EdgeStream(n=3, events=(("*", 0, 1), insert_event(1, 2)))
-    with pytest.raises(StreamInvariantError, match=r"^unknown kind '\*'$"):
-        INSERT_ONLY_CONSUMERS[consumer](bad)
-    both = EdgeStream(n=3, events=(("*", 0, 1), delete_event(1, 2)))
-    with pytest.raises(StreamInvariantError, match="^stream contains delete events$"):
-        INSERT_ONLY_CONSUMERS[consumer](both)
-
-
-# streams whose endpoints break 0 <= u < v < n, and the event that breaks it
-BAD_ENDPOINTS = {
-    "past-n": (EdgeStream(3, (("+", 0, 7), ("+", 1, 9))), 1),
-    "reversed": (EdgeStream(3, (("+", 0, 1), ("+", 2, 1))), 2),
-    "self-loop": (EdgeStream(3, (("+", 0, 1), ("+", 1, 2), ("+", 2, 2))), 3),
-    "negative": (EdgeStream(3, (("+", -1, 2),)), 1),
-}
+    # the stream refuses the kind when built, ahead of a later delete, so no
+    # consumer ever reads it
+    for second in (insert_event(1, 2), delete_event(1, 2)):
+        with pytest.raises(StreamInvariantError, match=r"^event 1: unknown kind '\*'$"):
+            INSERT_ONLY_CONSUMERS[consumer](EdgeStream(n=3, events=(("*", 0, 1), second)))
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_ENDPOINTS))
 @pytest.mark.parametrize("consumer", [*sorted(INSERT_ONLY_CONSUMERS), "dynamic"])
 def test_every_consumer_rejects_endpoints_outside_the_stream_rule(consumer, bad):
-    # unchecked, alg2 read 4 and greedy_maximal_matching 2 on the 3-vertex "past-n" stream
-    stream, pos = BAD_ENDPOINTS[bad]
-    _, u, v = stream.events[pos - 1]
+    # no consumer checks endpoints itself: a stream built or rebuilt with them
+    # raises before the consumer runs
+    events, pos = BAD_ENDPOINTS[bad]
+    _, u, v = events[pos - 1]
     message = f"event {pos}: endpoints ({u}, {v}) must satisfy 0 <= u < v < n=3"
-    with pytest.raises(StreamInvariantError, match=f"^{re.escape(message)}$"):
-        stream.validate()  # the same words as validate()
     run = INSERT_ONLY_CONSUMERS.get(consumer, lambda st: dynamic_estimate(st, 1, 3, 0.5, 0))
     with pytest.raises(StreamInvariantError, match=f"^{re.escape(message)}$"):
-        run(stream)
+        run(EdgeStream(3, events))
+    good = _stream(3, [(0, 1)])
+    run(good)
+    with pytest.raises(StreamInvariantError, match=f"^{re.escape(message)}$"):
+        run(dataclasses.replace(good, events=events))
 
 
 def test_dynamic_rejects_an_unknown_kind():
-    with pytest.raises(StreamInvariantError, match="^unknown kind 'x'$"):
+    with pytest.raises(StreamInvariantError, match="^event 2: unknown kind 'x'$"):
         dynamic_estimate(EdgeStream(3, (("+", 0, 1), ("x", 1, 2))), 1, 3, 0.5, 0)
+
+
+class _PassCountingEvents(tuple):
+    """A stream's events, counting the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("consumer", [*sorted(INSERT_ONLY_CONSUMERS), "dynamic"])
+def test_each_consumer_reads_the_stream_in_one_pass(consumer):
+    # construction checked kinds and endpoints, so no consumer walks the events to
+    # check them again; the later-degree profile reads them backward by index
+    events = _PassCountingEvents(insert_event(u, v) for u, v in [(0, 1), (1, 2), (2, 3)])
+    st = EdgeStream(4, events)
+    events.passes = 0
+    run = INSERT_ONLY_CONSUMERS.get(consumer, lambda st: dynamic_estimate(st, 1, 3, 0.5, 0))
+    run(st)
+    by_index = consumer in ("later_degree_profile", "offline_alpha_good_set")
+    assert events.passes == (0 if by_index else 1)
 
 
 def test_bad_parameters_win_over_deletes():
@@ -325,6 +349,19 @@ def test_alg2_rejects_bad_mu():
     st = _stream(2, [(0, 1)])
     with pytest.raises(ConfigError):
         alg2_estimate(st, c=2, mu=4, epsilon=0.5, seed=0)
+
+
+def test_alg2_sampler_branch_is_alg1_at_the_same_p_and_seed():
+    # c06's star forest: the greedy side reaches t on every ordering, so alg2 returns
+    # its sampler's value, which alg1 run alone at alg2's p and seed must equal; the
+    # exact-mean test of alg1 on forests then holds alg2's sampler path too
+    g = generate_star_forest(16_000, 1)
+    for seed in range(3):
+        st = order_stream(g, "uniform-random", seed)
+        est = alg2_estimate(st, c=1, mu=3, epsilon=0.8, seed=seed)
+        assert est.params["branch"] == "alg1" and est.params["p"] < 1
+        params = Alg1Params(mu=3, p=est.params["p"], c=1, epsilon=0.8)
+        assert est.value == alg1_estimate(st, params, seed).value
 
 
 def test_alg2_greedy_branch_is_two_approximation(rng):

@@ -8,7 +8,6 @@ from arbormatch import (
     Graph,
     GraphError,
     ParseError,
-    brute_force_matching_size,
     build_graph,
     characterize,
     degeneracy,
@@ -25,6 +24,7 @@ from arbormatch import (
 from arbormatch.streams import EdgeStream
 
 from conftest import (
+    brute_force_matching_size,
     naive_alpha_positions,
     naive_degeneracy,
     path_graph,

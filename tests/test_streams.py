@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import random
@@ -26,6 +27,7 @@ from arbormatch.graphs import Graph
 from arbormatch.streams import OrderingPolicy, pruefer_to_edges
 
 from conftest import (
+    BAD_ENDPOINTS,
     path_graph,
     random_graph,
     reference_parse_stream,
@@ -73,9 +75,70 @@ def test_validate_catches_liveness_violations():
     EdgeStream(n=3, events=(insert_event(0, 1), delete_event(0, 1))).validate()
 
 
+@pytest.mark.parametrize("bad", sorted(BAD_ENDPOINTS))
+def test_construction_rejects_endpoints_outside_the_stream_rule(bad):
+    # unchecked, alg2 read 4 and greedy_maximal_matching 2 on the 3-vertex "past-n" stream
+    events, pos = BAD_ENDPOINTS[bad]
+    _, u, v = events[pos - 1]
+    problem = f"endpoints ({u}, {v}) must satisfy 0 <= u < v < n=3"
+    with pytest.raises(StreamInvariantError, match=f"^{re.escape(f'event {pos}: {problem}')}$"):
+        EdgeStream(3, events)
+    # validate()'s loop gives the same words, which parse_stream reports at the event's line
+    text = "n 3\n" + "".join(f"{kind} {u} {v}\n" for kind, u, v in events)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'line {pos + 1}: {problem}')}$"):
+        parse_stream(text)
+
+
 def test_validate_rejects_an_unknown_event_kind():
+    # construction applies validate()'s kind rule, in its words
     with pytest.raises(StreamInvariantError, match=r"^event 2: unknown kind '\*'$"):
-        EdgeStream(n=3, events=(insert_event(0, 1), ("*", 1, 2))).validate()
+        EdgeStream(n=3, events=(insert_event(0, 1), ("*", 1, 2)))
+
+
+def _first_shape_fault(events, n):
+    """validate()'s words for the first event whose kind or endpoints break the rule."""
+    for pos, (kind, u, v) in enumerate(events, 1):
+        if not (0 <= u and u < v and v < n):
+            return f"event {pos}: endpoints ({u}, {v}) must satisfy 0 <= u < v < n={n}"
+        if kind != "+" and kind != "-":
+            return f"event {pos}: unknown kind {kind!r}"
+    return None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+def test_construction_raises_exactly_at_the_first_shape_fault(n):
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(400):
+        events = []
+        for _ in range(rng.randint(0, 10)):
+            kind = rng.choices("+-*", weights=(20, 20, 1))[0]
+            if n >= 2 and rng.random() < 0.8:
+                u, v = sorted(rng.sample(range(n), 2))
+            else:  # possibly reversed, equal or outside [0, n)
+                u, v = rng.randint(-1, n + 1), rng.randint(-1, n + 1)
+            events.append((kind, u, v))
+        expected = _first_shape_fault(events, n)
+        outcomes.add(expected is None)
+        if expected is None:
+            stream = EdgeStream(n, tuple(events))
+            assert stream.insert_only == all(kind == "+" for kind, _, _ in events)
+        else:
+            with pytest.raises(StreamInvariantError, match=f"^{re.escape(expected)}$"):
+                EdgeStream(n, tuple(events))
+    assert outcomes == {True, False}  # the draw made both accepted and rejected lists
+
+
+def test_replace_checks_the_stream_again():
+    stream = EdgeStream(4, (insert_event(0, 1), insert_event(2, 3), delete_event(0, 1)))
+    with pytest.raises(
+        StreamInvariantError, match=r"^event 2: endpoints \(2, 3\) must satisfy 0 <= u < v < n=3$"
+    ):
+        dataclasses.replace(stream, n=3)
+    assert not dataclasses.replace(stream, n=5).insert_only
+    assert dataclasses.replace(stream, events=stream.events[:2]).insert_only
+    with pytest.raises(TypeError):  # insert_only is derived, never passed
+        EdgeStream(2, (), None, True)
 
 
 # ---------------------------------------------------------------------------
