@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, order, oracle, estimate, experiment, check-lemmas.
-Exit codes: 0 success, 1 violation or failed estimate, 2 usage error.
+Exit codes: 0 success, 1 violation, failed estimate or a file that cannot be
+read or written (``io error: ...`` on stderr), 2 usage error.
 """
 
 from __future__ import annotations

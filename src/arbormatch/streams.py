@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import re
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -57,7 +56,6 @@ class EdgeStream:
 
     n: int
     events: tuple[StreamEvent, ...]
-    c_declared: int | None = None
     insert_only: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -179,11 +177,7 @@ def order_stream(g: Graph, policy: OrderingPolicy | str, seed: int = 0) -> EdgeS
             edges.sort(key=lambda e: (-max(deg[e[0]], deg[e[1]]), -min(deg[e[0]], deg[e[1]]), e))
         else:  # LEAVES_LAST
             edges.sort(key=lambda e: (-min(deg[e[0]], deg[e[1]]), -max(deg[e[0]], deg[e[1]]), e))
-    return EdgeStream(
-        n=g.n,
-        events=tuple([(INSERT, u, v) for u, v in edges]),
-        c_declared=g.c_declared,
-    )
+    return EdgeStream(n=g.n, events=tuple([(INSERT, u, v) for u, v in edges]))
 
 
 def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
@@ -443,21 +437,16 @@ def generate_dynamic_stream(g: Graph, delete_fraction: float, seed: int) -> Edge
                 break
         else:
             delete_oldest_decoy()
-    return EdgeStream(n=g.n, events=tuple(events), c_declared=g.c_declared)
+    return EdgeStream(n=g.n, events=tuple(events))
 
 
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 
-_ARBORICITY_COMMENT = re.compile(r"#\s*arboricity\s+(\d+)$")
-
-
 def serialize_stream(s: EdgeStream) -> str:
-    """Bit-exact text form; a declared arboricity bound rides in a comment."""
+    """Bit-exact text form: the header line, then one line per event."""
     lines = [f"n {s.n}"]
-    if s.c_declared is not None:
-        lines.append(f"# arboricity {s.c_declared}")
     lines.extend(f"{kind} {u} {v}" for kind, u, v in s.events)
     return "\n".join(lines) + "\n"
 
@@ -484,7 +473,6 @@ def parse_stream(text: str) -> EdgeStream:
     the error raised.
     """
     n: int | None = None
-    c: int | None = None
     events: list[StreamEvent] = []
     append = events.append
     kinds = (INSERT, DELETE)
@@ -497,13 +485,7 @@ def parse_stream(text: str) -> EdgeStream:
                 malformed = ParseError(line_no, "endpoints are not integers")
                 break
             continue
-        if not parts:
-            continue
-        if parts[0][0] == "#":
-            # the pattern reads every whitespace run alike, so the split words serve
-            found = _ARBORICITY_COMMENT.match(" ".join(parts))
-            if found:
-                c = int(found.group(1))
+        if not parts or parts[0][0] == "#":
             continue
         if n is None:
             n = _parse_header(line_no, parts)
@@ -513,7 +495,7 @@ def parse_stream(text: str) -> EdgeStream:
     if n is None:
         raise ParseError(1, "missing 'n <count>' header")
     try:
-        stream = EdgeStream(n=n, events=tuple(events), c_declared=c)
+        stream = EdgeStream(n=n, events=tuple(events))
     except StreamInvariantError:
         # a shape fault: the loop names it, or a liveness fault on an earlier line
         violation = _first_violation(events, n)

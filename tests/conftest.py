@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from functools import cache
 
 import pytest
@@ -262,7 +261,6 @@ def reference_parse_stream(text: str) -> EdgeStream:
     with one loop over every event, and locates a violation by re-splitting
     the text. Both must return one stream or raise one (line, message)."""
     n = None
-    c = None
     events = []
     malformed = None
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -270,9 +268,6 @@ def reference_parse_stream(text: str) -> EdgeStream:
         if not parts:
             continue
         if parts[0][0] == "#":
-            found = re.match(r"#\s*arboricity\s+(\d+)$", raw.strip())
-            if found:
-                c = int(found.group(1))
             continue
         if n is None:
             n = _parse_header(line_no, parts)
@@ -308,7 +303,7 @@ def reference_parse_stream(text: str) -> EdgeStream:
             raise ParseError(records[pos], problem)  # records[0] is the header's
     if malformed is not None:
         raise malformed
-    return EdgeStream(n=n, events=tuple(events), c_declared=c)
+    return EdgeStream(n=n, events=tuple(events))
 
 
 def reference_alg4_estimate_e_alpha(

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -344,3 +346,37 @@ def test_queue_loop_matches_the_per_endpoint_walk():
                     if tau == 40 and alpha == 6 * c:
                         rose.append(got.trace["terminated"][0])
     assert len(rose) == 36 and all(rose)  # at alpha = 6c, tau = 40 always raised the floor
+
+
+def test_sampled_levels_hold_exactly_the_replayed_offline_survivors():
+    # At a level at or above the final floor every edge whose top reaches it got a
+    # test, so its survivors are the offline alpha-good positions whose top, replayed
+    # from the seed's one draw per event, reaches that level; only the floor needs the run
+    epsilon = 0.5
+    bit = 0  # (graph, ordering, alpha) cases where the survival rule dropped an edge
+    for c in (1, 2):
+        g = generate_union_of_forests(2000, c, seed=c)
+        for policy in ("uniform-random", "centers-first"):
+            stream = order_stream(g, policy, c)
+            for alpha in (c, 6 * c):
+                good = offline_alpha_good_set(stream, alpha)
+                bit += len(good) < g.m
+                for tau, seed in itertools.product((30, 200), range(3)):
+                    est = alg4_estimate_e_alpha(
+                        stream, alpha, c, epsilon, seed, tau_override=tau, collect_trace=True
+                    )
+                    num_levels = est.params["num_levels"]
+                    rand = random.Random(seed).random
+                    tops = [
+                        min(int(-math.log(1.0 - rand()) / math.log(1.0 + epsilon)), num_levels - 1)
+                        for _ in stream.events
+                    ]
+                    floor = sum(est.trace["terminated"])
+                    assert floor >= 1, (c, policy, alpha, tau, seed)
+                    for i in range(floor, num_levels):
+                        want = sorted(p for p in good if tops[p - 1] >= i)
+                        assert est.trace["survivors"][i] == want, (c, policy, alpha, tau, seed, i)
+                    j = est.params["selected_level"]
+                    count = sum(tops[p - 1] >= j for p in good)
+                    assert est.value == (count / (1.0 + epsilon) ** -j if j else count)
+    assert bit >= 6

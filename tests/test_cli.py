@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arbormatch import ConfigError, Estimate, parse_config, parse_graph, parse_stream
+from arbormatch import ConfigError, Estimate, order_stream, parse_config, parse_graph, parse_stream
 from arbormatch.cli import main
 
 
@@ -20,7 +20,7 @@ def test_generate_and_order_round_trip(tmp_path):
         "--c", "2", "-o", str(spath),
     ]) == 0
     stream = parse_stream(spath.read_text())
-    assert len(stream.events) == g.m and stream.c_declared == 2
+    assert stream.events == order_stream(g, "uniform-random", 1).events
 
 
 def test_oracle_reports_characterization(tmp_path, capsys):

@@ -138,7 +138,7 @@ def test_replace_checks_the_stream_again():
     assert not dataclasses.replace(stream, n=5).insert_only
     assert dataclasses.replace(stream, events=stream.events[:2]).insert_only
     with pytest.raises(TypeError):  # insert_only is derived, never passed
-        EdgeStream(2, (), None, True)
+        EdgeStream(2, (), True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +363,17 @@ def _pinned_cases():
     yield "path fourth power", _path_power(12, 4, 2), 0.75, 11
 
 
+def _with_bound_line(text, c):
+    """text with the old format's ``# arboricity <c>`` comment put back as line 2, if c is set."""
+    if c is None:
+        return text
+    header, rest = text.split("\n", 1)
+    return f"{header}\n# arboricity {c}\n{rest}"
+
+
 # sha256 of serialize_stream(generate_dynamic_stream(g, f, seed)), recorded
-# with the whole-graph degeneracy check the local core check replaced
+# with the whole-graph degeneracy check the local core check replaced, in the
+# text form of that time: a declared bound rode in a comment on line 2
 PINNED_DYNAMIC_DIGESTS = {
     "union c=1 f=0.0": "08f697213274580cf47267d10fd3c84101ec9e1241f29d9b477a5618f6edb6ce",
     "union c=1 f=0.5": "33fde6733abc5e93415b6e6ca228d396197ebb52b27ef00b8578c39a602dc6de",
@@ -385,7 +394,8 @@ PINNED_DYNAMIC_DIGESTS = {
 def test_dynamic_streams_match_pinned_digests():
     got = {
         name: hashlib.sha256(
-            serialize_stream(generate_dynamic_stream(g, f, seed)).encode()
+            _with_bound_line(serialize_stream(generate_dynamic_stream(g, f, seed)), g.c_declared)
+            .encode()
         ).hexdigest()
         for name, g, f, seed in _pinned_cases()
     }
@@ -409,10 +419,10 @@ def test_round_trip_random_streams(rng):
             continue
         s = generate_dynamic_stream(g, 0.5, seed=seed)
         assert parse_stream(serialize_stream(s)) == s
-    # declared bound rides along
+    # a file in the old format, with a declared bound on line 2, reads as the same stream
     g = generate_union_of_forests(10, 2, seed=0)
     s = order_stream(g, "uniform-random", 1)
-    assert parse_stream(serialize_stream(s)).c_declared == 2
+    assert parse_stream(_with_bound_line(serialize_stream(s), 2)) == s
 
 
 def test_parse_rejects_delete_before_insert():
@@ -449,7 +459,7 @@ _PARSE_PREAMBLE = "# a stream\n\nn 4\n   \n  # arboricity 2  \n+ 0 1\n\t# note\n
     ],
 )
 def test_parse_errors_name_their_line_after_blanks_and_comments(line, message):
-    assert parse_stream(_PARSE_PREAMBLE + "+ 1 3\n").c_declared == 2
+    assert parse_stream(_PARSE_PREAMBLE + "+ 1 3\n").events == (("+", 0, 1), ("+", 1, 3))
     with pytest.raises(ParseError) as info:
         parse_stream(_PARSE_PREAMBLE + line + "\n+ 2 3\n")
     assert info.value.line_no == 9
@@ -468,7 +478,7 @@ def test_parse_reports_the_first_bad_line():
 
 def test_parse_ignores_plain_comments():
     s = parse_stream("# a note\nn 2\n# another\n+ 0 1\n")
-    assert s.n == 2 and len(s.events) == 1 and s.c_declared is None
+    assert s.n == 2 and s.events == (("+", 0, 1),)
 
 
 def _parse_outcome(parse, text):
