@@ -48,7 +48,8 @@ class Estimate:
     is a value, not an error; callers decide whether to retry with a fresh
     seed). ``params`` is the per-run record: the effective parameters plus
     per-run diagnostics (the README lists its keys per estimator); ``trace``
-    is filled only by alg4's ``collect_trace`` hook.
+    is filled only by alg4's ``collect_trace`` hook, with the per-level
+    ``started`` positions and ``terminated`` flags.
     """
 
     value: float | int | None
@@ -354,8 +355,7 @@ def alg4_estimate_e_alpha(
     Estimate when no level qualifies.
 
     ``tau_override`` (e.g. math.inf) and ``collect_trace`` are test hooks: the
-    trace holds per-level ``started`` and ``survivors`` positions, ``max_live``
-    high-marks and ``terminated`` flags.
+    trace holds per-level ``started`` positions and ``terminated`` flags.
     """
     _check_c_epsilon(c, epsilon)
     check_alpha(alpha)
@@ -384,8 +384,7 @@ def alg4_estimate_e_alpha(
     by_vertex: dict[int, list] = {}
     queue_at = by_vertex.get
     peak = 0
-    all_tests: list[tuple[list[int], int, int, int]] = []  # (test, top, position, start floor)
-    max_live = [0] * num_levels  # filled only for the trace
+    all_tests: list[tuple[int, int, int]] = []  # (top, position, start floor), for the trace
 
     # The loop makes up to one test and two queue slots per edge and no reference
     # cycles, so the cyclic collector has nothing to free in it. Left on, its passes
@@ -446,12 +445,7 @@ def alg4_estimate_e_alpha(
                 at_top[top] += 1
                 live += 1
                 if collect_trace:
-                    all_tests.append((tst, top, pos, floor))
-                    count = 0
-                    for i in range(top_level, floor - 1, -1):
-                        count += at_top[i]
-                        if count > max_live[i]:
-                            max_live[i] = count
+                    all_tests.append((top, pos, floor))
                 while floor < num_levels and live > tau:
                     live -= at_top[floor]
                     floor += 1
@@ -481,18 +475,10 @@ def alg4_estimate_e_alpha(
     trace = None
     if collect_trace:
         started: dict[int, list[int]] = {i: [] for i in range(num_levels)}
-        survivors: dict[int, list[int]] = {i: [] for i in range(num_levels)}
-        for tst, top, pos, low in all_tests:
+        for top, pos, low in all_tests:
             for i in range(low, top + 1):
                 started[i].append(pos)
-            for i in range(floor, tst[0] + 1):  # none for a failed test
-                survivors[i].append(pos)
-        trace = {
-            "started": started,
-            "survivors": survivors,
-            "max_live": max_live,
-            "terminated": [i < floor for i in range(num_levels)],
-        }
+        trace = {"started": started, "terminated": [i < floor for i in range(num_levels)]}
     return Estimate(
         value=value,
         space_peak=peak,

@@ -137,6 +137,8 @@ def parse_config(text: str) -> ExperimentConfig:
         rhs = rhs.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key.replace("-", "_") in values:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         try:
             values[key.replace("-", "_")] = _CONFIG_FIELDS[key](rhs)
         except ValueError:

@@ -7,6 +7,7 @@ import pytest
 from arbormatch import EdgeStream, Estimate, Graph, GraphError, ParseError, build_graph
 from arbormatch.estimators import (
     _check_c_epsilon,
+    alg4_estimate_e_alpha,
     alg4_level_cap,
     alg4_num_levels,
     alg4_selection_threshold,
@@ -169,6 +170,26 @@ def reference_union_of_forests(n: int, c: int, seed: int) -> Graph:
     return build_graph(n, edges, c_declared=c)
 
 
+def preferential_attachment(n: int, c: int, seed: int) -> Graph:
+    """Preferential-attachment graph (Barabasi & Albert, Science 1999): a clique
+    on vertices 0..c, then each later vertex joins c distinct earlier vertices,
+    each picked with probability proportional to its degree. Every vertex has
+    at most c earlier neighbours, so orienting each edge toward its earlier
+    endpoint splits the graph into c forests: its arboricity is at most c.
+    Unlike union-of-forests, alg4's survival rule drops edges at alpha = 6c."""
+    rng = random.Random(seed)
+    edges = [(u, v) for v in range(c + 1) for u in range(v)]
+    ends = [x for edge in edges for x in edge]  # each vertex once per incident edge
+    for v in range(c + 1, n):
+        picked: set[int] = set()
+        while len(picked) < c:
+            picked.add(rng.choice(ends))
+        for u in sorted(picked):
+            edges.append((u, v))
+            ends += (u, v)
+    return build_graph(n, edges, c_declared=c)
+
+
 def naive_degeneracy(g: Graph) -> int:
     """Quadratic reference for the degeneracy: repeatedly remove a vertex of
     minimum remaining degree, found by scanning every remaining vertex."""
@@ -312,7 +333,10 @@ def reference_alg4_estimate_e_alpha(
     """Reference for alg4_estimate_e_alpha: the loop that keeps a list of tests
     per vertex, each test a list [u, top, r_u, r_v] with a later-edge counter
     per endpoint, and walks and rebuilds both endpoints' lists on every event.
-    Both must return one value, space_peak, params and trace."""
+    Both must return one value, space_peak and params, and the trace keys that
+    production keeps (``started``, ``terminated``) must match. Only this trace
+    also holds ``survivors[i]`` (positions still live at a live level i) and
+    ``max_live[i]`` (level i's largest live-test count while it was live)."""
     _check_c_epsilon(c, epsilon)
     check_alpha(alpha)
     stream.require_insert_only()
@@ -408,3 +432,18 @@ def reference_alg4_estimate_e_alpha(
         },
         trace=trace,
     )
+
+
+def checked_alg4_trace(
+    stream: EdgeStream, alpha, c, epsilon, seed, *, tau_override=None
+) -> Estimate:
+    """The reference's traced run, after holding production's traced run on the
+    same arguments equal to it: value, space_peak, params and every trace key
+    production keeps. So a test that reads the reference's ``survivors`` or
+    ``max_live`` still checks production."""
+    args = (stream, alpha, c, epsilon, seed)
+    got = alg4_estimate_e_alpha(*args, tau_override=tau_override, collect_trace=True)
+    want = reference_alg4_estimate_e_alpha(*args, tau_override=tau_override, collect_trace=True)
+    assert (got.value, got.space_peak, got.params) == (want.value, want.space_peak, want.params)
+    assert got.trace == {key: want.trace[key] for key in got.trace}
+    return want

@@ -40,6 +40,7 @@ from arbormatch.streams import EdgeStream
 
 from conftest import (
     brute_force_matching_size,
+    checked_alg4_trace,
     naive_degeneracy,
     path_graph,
     petersen,
@@ -358,9 +359,7 @@ def test_c09_space_instrumentation(corpus):
         workloads.append((order_stream(g, "uniform-random", gi), g.c_declared, 0.4))
     for stream, c, epsilon in workloads:
         for seed in range(3):
-            est = alg4_estimate_e_alpha(
-                stream, alpha=6 * c, c=c, epsilon=epsilon, seed=seed, collect_trace=True
-            )
+            est = checked_alg4_trace(stream, 6 * c, c, epsilon, seed)
             tau = est.params["tau"]
             levels = est.params["num_levels"]
             cn = c * stream.n

@@ -23,7 +23,7 @@ from arbormatch import (
 from arbormatch.estimators import alg4_level_cap, alg4_num_levels
 from arbormatch.streams import OrderingPolicy
 
-from conftest import random_graph, reference_alg4_estimate_e_alpha
+from conftest import checked_alg4_trace, preferential_attachment, random_graph
 
 
 def _stream(n, edges):
@@ -42,10 +42,7 @@ def test_survival_test_by_hand():
     # position 1's endpoint 2 sees two later edges, position 2's one, position 3's none
     st = _stream(5, [(1, 2), (2, 3), (2, 4)])
     for alpha, survivors in ((1, [2, 3]), (2, [1, 2, 3])):
-        est = alg4_estimate_e_alpha(
-            st, alpha=alpha, c=1, epsilon=0.5, seed=0,
-            tau_override=math.inf, collect_trace=True,
-        )
+        est = checked_alg4_trace(st, alpha, 1, 0.5, 0, tau_override=math.inf)
         assert est.trace["started"][0] == [1, 2, 3]
         assert est.trace["survivors"][0] == survivors
         assert est.value == len(survivors)
@@ -160,10 +157,7 @@ def test_survivors_are_a_level_sample_of_the_offline_set(rng):
         g = random_graph(rng, rng.randint(3, 12))
         st = order_stream(g, "uniform-random", seed)
         alpha = rng.choice([1, 1.5, 2, 2.5, 3])
-        est = alg4_estimate_e_alpha(
-            st, alpha=alpha, c=1, epsilon=0.5, seed=seed,
-            tau_override=math.inf, collect_trace=True,
-        )
+        est = checked_alg4_trace(st, alpha, 1, 0.5, seed, tau_override=math.inf)
         offline = offline_alpha_good_set(st, alpha)
         trace = est.trace
         for level, started in trace["started"].items():
@@ -173,7 +167,7 @@ def test_survivors_are_a_level_sample_of_the_offline_set(rng):
 def test_level_size_cap_is_respected():
     g = generate_star_forest(300, 1)
     st = order_stream(g, "uniform-random", 3)
-    est = alg4_estimate_e_alpha(st, alpha=1, c=1, epsilon=0.9, seed=7, collect_trace=True)
+    est = checked_alg4_trace(st, 1, 1, 0.9, 7)
     tau = est.params["tau"]
     trace = est.trace
     for level, alive_max in enumerate(trace["max_live"]):
@@ -271,10 +265,7 @@ def _coupled_level_workloads():
 def test_coupled_levels_nest_and_terminate_from_the_bottom():
     for stream, c, epsilon, tau_override in _coupled_level_workloads():
         for seed in range(4):
-            est = alg4_estimate_e_alpha(
-                stream, alpha=6 * c, c=c, epsilon=epsilon, seed=seed,
-                tau_override=tau_override, collect_trace=True,
-            )
+            est = checked_alg4_trace(stream, 6 * c, c, epsilon, seed, tau_override=tau_override)
             trace = est.trace
             terminated = trace["terminated"]
             floor = sum(terminated)
@@ -339,12 +330,9 @@ def test_queue_loop_matches_the_per_endpoint_walk():
         for alpha in (1, 2.5, 6 * c):
             for tau in (None, 40, 400, math.inf):
                 for seed in range(2):
-                    kwargs = dict(tau_override=tau, collect_trace=True)
-                    got = alg4_estimate_e_alpha(stream, alpha, c, 0.5, seed, **kwargs)
-                    want = reference_alg4_estimate_e_alpha(stream, alpha, c, 0.5, seed, **kwargs)
-                    assert got == want, (c, alpha, tau, seed)
+                    est = checked_alg4_trace(stream, alpha, c, 0.5, seed, tau_override=tau)
                     if tau == 40 and alpha == 6 * c:
-                        rose.append(got.trace["terminated"][0])
+                        rose.append(est.trace["terminated"][0])
     assert len(rose) == 36 and all(rose)  # at alpha = 6c, tau = 40 always raised the floor
 
 
@@ -354,17 +342,19 @@ def test_sampled_levels_hold_exactly_the_replayed_offline_survivors():
     # from the seed's one draw per event, reaches that level; only the floor needs the run
     epsilon = 0.5
     bit = 0  # (graph, ordering, alpha) cases where the survival rule dropped an edge
-    for c in (1, 2):
-        g = generate_union_of_forests(2000, c, seed=c)
+    graphs = [
+        (c, make(2000, c, seed=c))
+        for c in (1, 2)
+        for make in (generate_union_of_forests, preferential_attachment)
+    ]
+    for c, g in graphs:
         for policy in ("uniform-random", "centers-first"):
             stream = order_stream(g, policy, c)
             for alpha in (c, 6 * c):
                 good = offline_alpha_good_set(stream, alpha)
                 bit += len(good) < g.m
                 for tau, seed in itertools.product((30, 200), range(3)):
-                    est = alg4_estimate_e_alpha(
-                        stream, alpha, c, epsilon, seed, tau_override=tau, collect_trace=True
-                    )
+                    est = checked_alg4_trace(stream, alpha, c, epsilon, seed, tau_override=tau)
                     num_levels = est.params["num_levels"]
                     rand = random.Random(seed).random
                     tops = [
@@ -379,4 +369,4 @@ def test_sampled_levels_hold_exactly_the_replayed_offline_survivors():
                     j = est.params["selected_level"]
                     count = sum(tops[p - 1] >= j for p in good)
                     assert est.value == (count / (1.0 + epsilon) ** -j if j else count)
-    assert bit >= 6
+    assert bit >= 14  # all 8 preferential-attachment cases, 6 union-of-forests ones

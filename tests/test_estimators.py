@@ -705,3 +705,18 @@ def test_readme_params_table_lists_the_returned_keys():
             assert list(est.params) == always + ([] if est.failed else on_success), name
     for name in ("alg4_estimate_e_alpha", "estimate_matching_logspace"):
         assert [est.failed for est in runs[name]] == [False, True]  # both outcomes read
+
+
+def _readme_trace_keys():
+    """The trace keys the README's ``Estimate.trace`` paragraph names, each as
+    ``key[i]``, in its order."""
+    text = README.read_text()
+    start = text.index("`alg4_estimate_e_alpha(..., collect_trace=True)` also fills")
+    return re.findall(r"`(\w+)\[i\]`", text[start:text.index("\n\n", start)])
+
+
+def test_readme_trace_paragraph_lists_the_returned_keys():
+    st = order_stream(generate_union_of_forests(60, 1, seed=0), "uniform-random", 0)
+    for tau in (None, 0.5):  # a run that succeeds and one that fails
+        est = alg4_estimate_e_alpha(st, 6, 1, 0.5, 0, tau_override=tau, collect_trace=True)
+        assert _readme_trace_keys() == list(est.trace)

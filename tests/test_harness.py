@@ -66,7 +66,17 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("trials = many\n")
 
 
-# (lines appended to GOOD_CONFIG, the whole ConfigError message)
+def _override(lines: str) -> str:
+    """GOOD_CONFIG with ``lines`` at its end, and the earlier lines for the keys
+    they set taken out, since a config sets each key once."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [
+        line for line in GOOD_CONFIG.splitlines() if line.partition("=")[0].strip() not in keys
+    ]
+    return "\n".join(kept + lines.splitlines()) + "\n"
+
+
+# (lines that override GOOD_CONFIG, the whole ConfigError message)
 BAD_CONFIGS = [
     ("generator = bogus", "unknown generator 'bogus'"),
     ("estimator = bogus", "unknown estimator 'bogus'"),
@@ -78,6 +88,7 @@ BAD_CONFIGS = [
     ("estimator = dynamic\ndelete-fraction = -0.5", "delete-fraction must be in [0, 1], got -0.5"),
     ("estimator = dynamic\ndelete-fraction = 1.5", "delete-fraction must be in [0, 1], got 1.5"),
     ("trials 5", f"line {len(GOOD_CONFIG.splitlines()) + 1}: expected 'key = value'"),
+    ("trials = 2\ntrials = 9", f"line {len(GOOD_CONFIG.splitlines()) + 1}: duplicate key 'trials'"),
 ]
 
 
@@ -87,7 +98,7 @@ BAD_CONFIGS = [
 def test_parse_config_rejects_bad_settings(lines, message):
     parse_config(GOOD_CONFIG)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        parse_config(GOOD_CONFIG + lines + "\n")
+        parse_config(_override(lines))
 
 
 def test_validate_rejects_mu_at_twice_c():

@@ -29,6 +29,7 @@ from arbormatch.streams import OrderingPolicy, pruefer_to_edges
 from conftest import (
     BAD_ENDPOINTS,
     path_graph,
+    preferential_attachment,
     random_graph,
     reference_parse_stream,
     reference_uniform_random_events,
@@ -173,6 +174,20 @@ def test_union_of_forests_matches_randrange_reference(n):
     for c in (1, 2, 3):
         for seed in (0, 1, 99):
             assert generate_union_of_forests(n, c, seed) == reference_union_of_forests(n, c, seed)
+
+
+def test_preferential_attachment_is_a_c_forest_graph_per_seed():
+    # the test-side generator whose hubs make alg4's survival rule drop edges at alpha = 6c
+    for c in (1, 2, 3):
+        g = preferential_attachment(300, c, seed=5)
+        assert g == preferential_attachment(300, c, seed=5)
+        assert g != preferential_attachment(300, c, seed=6)
+        assert g.c_declared == c and degeneracy(g) == c
+        assert g.m == c * (c + 1) // 2 + (300 - c - 1) * c  # the clique, then c per vertex
+        earlier = [0] * g.n  # neighbours below each vertex
+        for u, v in g.edges:
+            earlier[max(u, v)] += 1
+        assert max(earlier) == c
 
 
 def test_union_of_forests_validates_arguments():
