@@ -373,22 +373,28 @@ def alg4_estimate_e_alpha(
     at_top = [0] * num_levels  # live tests per top level
     live = 0  # live tests at the floor: those whose top is at or above it
     floor = 0  # levels below the floor are terminated
-    # A test is a one-slot list [top]: the edge's top level, -1 once it fails; both
-    # endpoints' queues share it. by_vertex[x] is x's queue, [k, start_1, test_1,
-    # start_2, test_2, ...]: k counts the events at x since the queue was made, and
-    # start_i is k when test_i began, so test_i has seen k - start_i later edges at
-    # x. Tests enter in creation order, so the front has seen the most: feeding x
-    # pops the front while it has failed, gone stale (top below the floor) or just
-    # passed alpha, and a stale entry behind a live one waits until it reaches the
-    # front. A queue whose last test leaves is deleted.
-    by_vertex: dict[int, list] = {}
+    # by_vertex[x] is x's queue, [k, start_1, top_1, pos_1, start_2, top_2, pos_2,
+    # ...]: each entry holds its test inline, so a test is no object of its own and
+    # its two endpoints' queues each keep a copy. k counts the events at x since the
+    # queue was made, and start_i is k when test_i began, so test_i has seen
+    # k - start_i later edges at x; top_i is the edge's top level and pos_i its
+    # position. Tests enter in creation order, so the front has seen the most:
+    # feeding x pops the front while it has gone stale (top below the floor) or just
+    # passed alpha. A test past alpha at one end fails there, and ``failed`` holds
+    # its position until the other end pops it, so it is counted down once. Until
+    # then it waits at that end's front for alpha or the floor; every entry behind it
+    # started later, so none can pass alpha first, and a stale entry behind a live or
+    # failed one waits until it reaches the front. A queue whose last test leaves is
+    # deleted.
+    by_vertex: dict[int, list[int]] = {}
     queue_at = by_vertex.get
+    failed: set[int] = set()
     peak = 0
     all_tests: list[tuple[int, int, int]] = []  # (top, position, start floor), for the trace
 
-    # The loop makes up to one test and two queue slots per edge and no reference
-    # cycles, so the cyclic collector has nothing to free in it. Left on, its passes
-    # take about a quarter of a call on 100k edges, at points set by allocation counts.
+    # The loop's only containers are queues of ints, so it makes no reference cycles
+    # and the cyclic collector has nothing to free in it. Left on, its passes take
+    # about a quarter of a call on 100k edges, at points set by allocation counts.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -399,49 +405,54 @@ def alg4_estimate_e_alpha(
             if queue_u is not None:
                 k = queue_u[0] + 1
                 queue_u[0] = k
-                front = queue_u[2]
-                while front[0] < floor or k - queue_u[1] > alpha:
-                    top = front[0]
-                    if top >= floor:  # live, and past alpha at u: it fails
-                        at_top[top] -= 1
-                        live -= 1
-                        front[0] = -1
-                    del queue_u[1:3]
+                top = queue_u[2]
+                while top < floor or k - queue_u[1] > alpha:
+                    if top >= floor:  # past alpha at u: it fails, unless it failed at v
+                        at = queue_u[3]
+                        if at in failed:
+                            failed.remove(at)
+                        else:
+                            at_top[top] -= 1
+                            live -= 1
+                            failed.add(at)
+                    del queue_u[1:4]
                     if len(queue_u) == 1:
                         del by_vertex[u]
                         queue_u = None
                         break
-                    front = queue_u[2]
+                    top = queue_u[2]
             queue_v = queue_at(v)
             if queue_v is not None:
                 k = queue_v[0] + 1
                 queue_v[0] = k
-                front = queue_v[2]
-                while front[0] < floor or k - queue_v[1] > alpha:
-                    top = front[0]
+                top = queue_v[2]
+                while top < floor or k - queue_v[1] > alpha:
                     if top >= floor:
-                        at_top[top] -= 1
-                        live -= 1
-                        front[0] = -1
-                    del queue_v[1:3]
+                        at = queue_v[3]
+                        if at in failed:
+                            failed.remove(at)
+                        else:
+                            at_top[top] -= 1
+                            live -= 1
+                            failed.add(at)
+                    del queue_v[1:4]
                     if len(queue_v) == 1:
                         del by_vertex[v]
                         queue_v = None
                         break
-                    front = queue_v[2]
+                    top = queue_v[2]
             top = int(-log(1.0 - rand()) / log_growth)
             if top > top_level:  # a compare, not min(): a builtin call per event costs more
                 top = top_level
             if top >= floor:
-                tst = [top]
                 if queue_u is None:
-                    by_vertex[u] = [0, 0, tst]
+                    by_vertex[u] = [0, 0, top, pos]
                 else:
-                    queue_u += (queue_u[0], tst)
+                    queue_u += (queue_u[0], top, pos)
                 if queue_v is None:
-                    by_vertex[v] = [0, 0, tst]
+                    by_vertex[v] = [0, 0, top, pos]
                 else:
-                    queue_v += (queue_v[0], tst)
+                    queue_v += (queue_v[0], top, pos)
                 at_top[top] += 1
                 live += 1
                 if collect_trace:
@@ -453,9 +464,9 @@ def alg4_estimate_e_alpha(
                 if 3 * live > peak:
                     peak = 3 * live
     finally:
-        # free the queues and the tests only they hold while the collector is still
-        # off: each freed object takes back its allocation count, so resuming finds
-        # no pass due, where ~180k live objects on 100k edges would force one
+        # free the queues while the collector is still off: each freed queue takes
+        # back its allocation count, so resuming finds no pass due, where ~93k live
+        # queues on 100k edges would force one
         by_vertex.clear()
         if collecting:
             gc.enable()

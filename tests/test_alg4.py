@@ -87,7 +87,7 @@ def test_cyclic_collector_is_paused_in_the_loop_and_left_as_found():
             gc.collect()  # zeroes the allocation counts, so no pass is due at the call
             passes.clear()
             alg4_estimate_e_alpha(st, alpha=6, c=1, epsilon=0.5, seed=0)
-            # thousands of test objects, and at most the one pass due on resuming
+            # no pass while the loop makes thousands of queues, at most the one due on resuming
             assert len(passes) <= (1 if enabled else 0)
             assert gc.isenabled() is enabled
             with pytest.raises(StreamInvariantError, match="^stream contains delete events$"):
@@ -99,7 +99,7 @@ def test_cyclic_collector_is_paused_in_the_loop_and_left_as_found():
 
 
 def test_the_call_leaves_no_collector_pass_due():
-    # the loop's tests and queues are freed before the collector resumes, so their
+    # the loop's queues are freed before the collector resumes, so their
     # allocation counts are taken back and resuming starts no pass
     st = order_stream(generate_union_of_forests(3000, 1, seed=0), "uniform-random", 0)
     passes = []
@@ -122,8 +122,9 @@ def test_the_call_leaves_no_collector_pass_due():
     assert est.space_peak > 3000  # thousands of tests were live at once
 
 
-def test_live_tests_cost_at_most_64_bytes_per_space_item():
-    # space accounting is honest: the bytes the call allocates track the items it counts
+def test_live_tests_cost_at_most_50_bytes_per_space_item():
+    # space accounting is honest: the bytes the call allocates track the items it counts.
+    # Each test's two queue entries hold it inline: about 46 B per item on CPython 3.11
     stream = order_stream(generate_union_of_forests(20_000, 2, seed=0), "uniform-random", 0)
     tracemalloc.start()
     try:
@@ -134,7 +135,7 @@ def test_live_tests_cost_at_most_64_bytes_per_space_item():
     finally:
         tracemalloc.stop()
     assert est.params["selected_level"] == 0 and est.space_peak > 10_000
-    assert peak <= 64 * est.space_peak
+    assert peak <= 50 * est.space_peak
 
 
 def test_empty_stream_is_zero():
