@@ -329,6 +329,21 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be >= 1 and finite, got {alpha}")
 
 
+def _drop_dead_entries(
+    by_vertex: dict[int, list[int]], floor: int, failed: set[int]
+) -> dict[int, list[int]]:
+    """alg4's queues without their dead entries, in a new dict: each queue is
+    compacted in place to the entries whose top is at or above ``floor`` and
+    whose position is not in ``failed``, and a queue left empty is dropped."""
+    for queue in by_vertex.values():
+        kept = [queue[0]]
+        for i in range(1, len(queue), 3):
+            if queue[i + 1] >= floor and queue[i + 2] not in failed:
+                kept += queue[i : i + 3]
+        queue[:] = kept
+    return {x: queue for x, queue in by_vertex.items() if len(queue) > 1}
+
+
 def alg4_estimate_e_alpha(
     stream: "EdgeStream",
     alpha: float,
@@ -373,23 +388,27 @@ def alg4_estimate_e_alpha(
     at_top = [0] * num_levels  # live tests per top level
     live = 0  # live tests at the floor: those whose top is at or above it
     floor = 0  # levels below the floor are terminated
-    # by_vertex[x] is x's queue, [k, start_1, top_1, pos_1, start_2, top_2, pos_2,
-    # ...]: each entry holds its test inline, so a test is no object of its own and
-    # its two endpoints' queues each keep a copy. k counts the events at x since the
-    # queue was made, and start_i is k when test_i began, so test_i has seen
-    # k - start_i later edges at x; top_i is the edge's top level and pos_i its
-    # position. Tests enter in creation order, so the front has seen the most:
-    # feeding x pops the front while it has gone stale (top below the floor) or just
-    # passed alpha. A test past alpha at one end fails there, and ``failed`` holds
-    # its position until the other end pops it, so it is counted down once. Until
-    # then it waits at that end's front for alpha or the floor; every entry behind it
-    # started later, so none can pass alpha first, and a stale entry behind a live or
-    # failed one waits until it reaches the front. A queue whose last test leaves is
-    # deleted.
+    # A test fails at x once it has seen more than alpha later edges there, that is
+    # for a finite alpha >= 1 once it has seen int(alpha) + 1 of them.
+    reach = int(alpha) + 1
+    # by_vertex[x] is x's queue, [k, deadline_1, top_1, pos_1, deadline_2, top_2,
+    # pos_2, ...]: each entry holds its test inline, so a test is no object of its
+    # own and its two endpoints' queues each keep a copy. k counts the events at x
+    # since the queue was made, and a test begun at count k0 fails at x when k reaches
+    # its deadline k0 + reach; top_i is the edge's top level and pos_i its position.
+    # Tests enter in creation order, so deadlines never decrease along a queue:
+    # feeding x bumps k and pops the front while k has reached its deadline. A live
+    # test popped there fails, and ``failed`` holds its position until the other end
+    # pops it, so it is counted down once. An entry whose test no longer counts, the
+    # other end's copy of a failed test or an entry whose top fell below the floor,
+    # is dead; it leaves at its deadline, uncounted. ``dead`` counts them, and once
+    # they outnumber the live entries (two per live test), _drop_dead_entries
+    # rebuilds the queues and the dict without them. A queue whose last test leaves is deleted.
     by_vertex: dict[int, list[int]] = {}
     queue_at = by_vertex.get
     failed: set[int] = set()
-    peak = 0
+    dead = 0
+    peak = 0  # the most live tests at once
     all_tests: list[tuple[int, int, int]] = []  # (top, position, start floor), for the trace
 
     # The loop's only containers are queues of ints, so it makes no reference cycles
@@ -405,67 +424,79 @@ def alg4_estimate_e_alpha(
             if queue_u is not None:
                 k = queue_u[0] + 1
                 queue_u[0] = k
-                top = queue_u[2]
-                while top < floor or k - queue_u[1] > alpha:
-                    if top >= floor:  # past alpha at u: it fails, unless it failed at v
+                while k >= queue_u[1]:
+                    top = queue_u[2]
+                    if top < floor:  # stale
+                        dead -= 1
+                    else:
                         at = queue_u[3]
-                        if at in failed:
+                        if at in failed:  # the end of a test that failed at v
                             failed.remove(at)
-                        else:
+                            dead -= 1
+                        else:  # fails at u: v's entry is dead from now on
                             at_top[top] -= 1
                             live -= 1
                             failed.add(at)
+                            dead += 1
                     del queue_u[1:4]
                     if len(queue_u) == 1:
                         del by_vertex[u]
                         queue_u = None
                         break
-                    top = queue_u[2]
             queue_v = queue_at(v)
             if queue_v is not None:
                 k = queue_v[0] + 1
                 queue_v[0] = k
-                top = queue_v[2]
-                while top < floor or k - queue_v[1] > alpha:
-                    if top >= floor:
+                while k >= queue_v[1]:
+                    top = queue_v[2]
+                    if top < floor:
+                        dead -= 1
+                    else:
                         at = queue_v[3]
                         if at in failed:
                             failed.remove(at)
+                            dead -= 1
                         else:
                             at_top[top] -= 1
                             live -= 1
                             failed.add(at)
+                            dead += 1
                     del queue_v[1:4]
                     if len(queue_v) == 1:
                         del by_vertex[v]
                         queue_v = None
                         break
-                    top = queue_v[2]
             top = int(-log(1.0 - rand()) / log_growth)
             if top > top_level:  # a compare, not min(): a builtin call per event costs more
                 top = top_level
             if top >= floor:
                 if queue_u is None:
-                    by_vertex[u] = [0, 0, top, pos]
+                    by_vertex[u] = [0, reach, top, pos]
                 else:
-                    queue_u += (queue_u[0], top, pos)
+                    queue_u += (queue_u[0] + reach, top, pos)
                 if queue_v is None:
-                    by_vertex[v] = [0, 0, top, pos]
+                    by_vertex[v] = [0, reach, top, pos]
                 else:
-                    queue_v += (queue_v[0], top, pos)
+                    queue_v += (queue_v[0] + reach, top, pos)
                 at_top[top] += 1
                 live += 1
                 if collect_trace:
                     all_tests.append((top, pos, floor))
-                while floor < num_levels and live > tau:
+                while live > tau and floor < num_levels:
+                    # both entries of every live test at the old floor go stale
+                    dead += 2 * at_top[floor]
                     live -= at_top[floor]
                     floor += 1
-                # every live test counts toward the floor level, at 3 items each
-                if 3 * live > peak:
-                    peak = 3 * live
+                if live > peak:
+                    peak = live
+                if dead > 2 * live:
+                    by_vertex = _drop_dead_entries(by_vertex, floor, failed)
+                    queue_at = by_vertex.get
+                    failed.clear()
+                    dead = 0
     finally:
         # free the queues while the collector is still off: each freed queue takes
-        # back its allocation count, so resuming finds no pass due, where ~93k live
+        # back its allocation count, so resuming finds no pass due, where ~95k live
         # queues on 100k edges would force one
         by_vertex.clear()
         if collecting:
@@ -492,7 +523,7 @@ def alg4_estimate_e_alpha(
         trace = {"started": started, "terminated": [i < floor for i in range(num_levels)]}
     return Estimate(
         value=value,
-        space_peak=peak,
+        space_peak=3 * peak,  # every live test counts toward the floor level, at 3 items each
         params={
             "algorithm": "alg4",
             "alpha": alpha,

@@ -19,6 +19,7 @@ from arbormatch import (
     alg2_estimate,
     alg4_estimate_e_alpha,
     characterize,
+    check_lemmas,
     degeneracy,
     delete_event,
     dynamic_estimate,
@@ -44,6 +45,7 @@ from conftest import (
     naive_degeneracy,
     path_graph,
     petersen,
+    preferential_attachment,
     random_graph,
     star_graph,
 )
@@ -433,4 +435,51 @@ def test_c10_dynamic_variant():
         ok,
         f"{hits}/{runs} in [(1-eps)M*, (1+eps)beta*M*] (t={t_expected}); "
         f"insert+delete cancels to {cancel_value}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. a corpus where the survival rule bites
+# ---------------------------------------------------------------------------
+
+
+def test_c11_survival_rule_on_preferential_attachment():
+    # union-of-forests keeps nearly every edge at alpha = 6c, so c07/c08 cannot see
+    # the survival rule; preferential attachment drops about a fifth of them
+    epsilon = 0.2
+    runs = 0
+    lemma_failures = 0
+    exact_returns = 0
+    in_window = 0
+    fractions = []
+    for c in (1, 2):
+        lo = 1.0 - 3 * epsilon
+        hi = (22.5 * c + 6.0) * (1.0 + 3 * epsilon)
+        for gi in range(20):
+            g = preferential_attachment(2000, c, seed=gi)
+            lemma_failures += not check_lemmas(g, orderings=3, mu=2 * c + 1, seed=gi).passed
+            stream = order_stream(g, "uniform-random", seed=gi)
+            e_6c = len(offline_alpha_good_set(stream, 6 * c))
+            fractions.append(e_6c / g.m)
+            runs += 1
+            # the survivor set fits under the cap, so level 0 must return it exactly
+            est = alg4_estimate_e_alpha(stream, alpha=6 * c, c=c, epsilon=epsilon, seed=gi)
+            exact_returns += est.params["selected_level"] == 0 and est.value == e_6c
+            ratio = estimate_matching_logspace(stream, c=c, epsilon=epsilon, seed=gi).value / (
+                maximum_matching_size(g)
+            )
+            in_window += lo <= ratio <= hi
+    ok = (
+        lemma_failures == 0
+        and exact_returns == runs
+        and in_window >= 0.9 * runs
+        and max(fractions) < 0.9  # the rule really drops edges
+    )
+    _report(
+        11,
+        "survival rule on preferential attachment",
+        ok,
+        f"lemma failures={lemma_failures}; exact level-0 e_6c returns={exact_returns}/{runs}; "
+        f"{in_window}/{runs} ratios inside [1-3eps, (22.5c+6)(1+3eps)]; "
+        f"e_6c/m in [{min(fractions):.3f}, {max(fractions):.3f}]",
     )

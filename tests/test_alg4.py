@@ -20,6 +20,7 @@ from arbormatch import (
     offline_alpha_good_set,
     order_stream,
 )
+from arbormatch import estimators
 from arbormatch.estimators import alg4_level_cap, alg4_num_levels
 from arbormatch.streams import OrderingPolicy
 
@@ -136,6 +137,48 @@ def test_live_tests_cost_at_most_50_bytes_per_space_item():
         tracemalloc.stop()
     assert est.params["selected_level"] == 0 and est.space_peak > 10_000
     assert peak <= 50 * est.space_peak
+
+
+def _fixed_cap_stream(m):
+    # union-of-forests at c=2 has m close to 2n; at tau=2000 space_peak is 6000 items at every m
+    return order_stream(generate_union_of_forests(m // 2, 2, seed=0), "uniform-random", 0)
+
+
+def test_bytes_stop_growing_with_the_stream_at_a_fixed_cap():
+    # dead queue entries are swept once they outnumber the live entries, so
+    # the bytes follow the live tests, not m: the peak reads 0.77 MB at m = 20k and
+    # 1.02 MB at m = 80k on CPython 3.11 (1.32x), against 1.01 and 1.70 MB (1.69x)
+    # when dead entries stayed until their vertex's next event reached them
+    peaks = []
+    for m in (20_000, 80_000):
+        stream = _fixed_cap_stream(m)
+        tracemalloc.start()
+        try:
+            est = alg4_estimate_e_alpha(
+                stream, alpha=12, c=2, epsilon=0.5, seed=0, tau_override=2000
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert est.space_peak == 6000
+    assert peaks[1] <= 1.4 * peaks[0], peaks
+
+
+def test_dead_entries_are_swept_at_a_fixed_cap_and_never_on_survivor_streams(monkeypatch):
+    sweeps = []
+    sweep = estimators._drop_dead_entries
+
+    def counted(by_vertex, floor, failed):
+        sweeps.append(floor)
+        return sweep(by_vertex, floor, failed)
+
+    monkeypatch.setattr(estimators, "_drop_dead_entries", counted)
+    checked_alg4_trace(_fixed_cap_stream(20_000), 12, 2, 0.5, 0, tau_override=2000)
+    assert sweeps, "the floor rose past thousands of tests, yet nothing was swept"
+    sweeps.clear()
+    survivor = order_stream(generate_union_of_forests(20_000, 1, seed=0), "uniform-random", 0)
+    checked_alg4_trace(survivor, 6, 1, 0.6, 0)
+    assert sweeps == []  # few tests fail and the floor never rises: only the bookkeeping is paid
 
 
 def test_empty_stream_is_zero():
@@ -328,7 +371,7 @@ def _differential_corpus():
 def test_queue_loop_matches_the_per_endpoint_walk():
     rose = []
     for c, stream in _differential_corpus():
-        for alpha in (1, 2.5, 6 * c):
+        for alpha in (1, 2.0, 2.5, 2.999, 6 * c):
             for tau in (None, 40, 400, math.inf):
                 for seed in range(2):
                     est = checked_alg4_trace(stream, alpha, c, 0.5, seed, tau_override=tau)

@@ -1,0 +1,169 @@
+"""Mutation check: does the Tier-1 suite fail when the code is broken on purpose?
+
+    python tools/mutants.py                 # every mutant in the catalogue
+    python tools/mutants.py --only alpha-plus-one --timeout 300
+
+Each catalogue entry names one edit, ``(file, old text, new text)``. For each
+entry the tool copies the repository into a temporary directory, applies the
+edit there (it stops with an error when the old text is not found exactly
+once, so the catalogue cannot rot silently), and runs the Tier-1 suite with
+``-x -q`` under a timeout. A mutant is *killed* when the suite fails, *timed
+out* when it hangs past the timeout (a hang is a failure too, so it counts as
+killed), and *survived* when every test passes. An entry listed as equivalent
+cannot change any output; its edit is still applied, so its text stays
+checked, but the suite is not run for it.
+
+The exit status is 0 when every other mutant is killed, 1 when one survives,
+and 2 when an edit no longer applies. Standard library only; the repository
+working tree is never modified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+COPY_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".benchmarks", ".perfbench-*", "*.egg-info"
+)
+ESTIMATORS = "src/arbormatch/estimators.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    equivalent: str | None = None  # why the edit cannot change an output
+
+
+CATALOGUE = (
+    Mutant(
+        "alpha-plus-one",  # a test sees alpha + 1 later edges at an endpoint before it fails
+        ESTIMATORS,
+        "reach = int(alpha) + 1",
+        "reach = int(alpha) + 2",
+    ),
+    Mutant(
+        "failure-counted-at-both-ends",  # the other end's pop counts a failed test down again
+        ESTIMATORS,
+        """                        if at in failed:  # the end of a test that failed at v
+                            failed.remove(at)
+                            dead -= 1
+""",
+        """                        if at in failed:  # the end of a test that failed at v
+                            failed.remove(at)
+                            dead -= 1
+                            at_top[top] -= 1
+                            live -= 1
+""",
+    ),
+    Mutant(
+        "sweep-drops-the-floor-level",  # the sweep also drops live tests whose top is the floor
+        ESTIMATORS,
+        "if queue[i + 1] >= floor and queue[i + 2] not in failed",
+        "if queue[i + 1] > floor and queue[i + 2] not in failed",
+    ),
+    Mutant(
+        "stale-test-off-by-one",  # a live test at the floor level is taken for a stale one
+        ESTIMATORS,
+        "if top < floor:  # stale",
+        "if top <= floor:  # stale",
+    ),
+    Mutant(
+        "never-sweep",  # dead entries are kept until their deadline
+        ESTIMATORS,
+        "if dead > 2 * live:",
+        "if False:",
+    ),
+    Mutant(
+        "failed-never-emptied",
+        ESTIMATORS,
+        """                        if at in failed:  # the end of a test that failed at v
+                            failed.remove(at)
+""",
+        """                        if at in failed:  # the end of a test that failed at v
+                            pass
+""",
+        equivalent="a position leaves `failed` when its test's second entry leaves, and no "
+        "entry holds it after that, so it is never looked up again; a sweep empties the set",
+    ),
+)
+
+
+def apply(mutant: Mutant, tree: Path) -> None:
+    """Apply the mutant's edit inside ``tree``; the old text must occur exactly once."""
+    path = tree / mutant.path
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        print(
+            f"mutant {mutant.name}: the old text occurs {found} times in {mutant.path}, "
+            "not once; update the catalogue",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
+    return "(no failing test named; see the output)"
+
+
+def run(mutant: Mutant, timeout: float) -> tuple[str, str]:
+    """(status, detail) for one mutant, run in a fresh copy of the repository."""
+    with tempfile.TemporaryDirectory(prefix="arbormatch-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
+        apply(mutant, tree)
+        if mutant.equivalent:
+            return "equivalent", mutant.equivalent
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, *TIER1], cwd=tree, env=env, timeout=timeout,
+                capture_output=True, text=True,
+            )
+        except subprocess.TimeoutExpired:
+            return "timed out", f"no result after {timeout:.0f} s"
+        if done.returncode == 0:
+            return "survived", "every Tier-1 test passed"
+        return "killed", first_failure(done.stdout + done.stderr)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
+    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run")
+    args = parser.parse_args(argv)
+    names = {m.name for m in CATALOGUE}
+    unknown = set(args.only or ()) - names
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in CATALOGUE if not args.only or m.name in args.only]
+    survived = 0
+    for m in chosen:
+        start = time.perf_counter()
+        status, detail = run(m, args.timeout)
+        survived += status == "survived"
+        print(f"{m.name}: {status} in {time.perf_counter() - start:.0f} s -- {detail}", flush=True)
+    killed = sum(1 for m in chosen if not m.equivalent) - survived
+    print(f"{killed} killed, {survived} survived, {sum(bool(m.equivalent) for m in chosen)} equivalent")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
