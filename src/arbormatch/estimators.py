@@ -329,16 +329,25 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be >= 1 and finite, got {alpha}")
 
 
-def _drop_dead_entries(
-    by_vertex: dict[int, list[int]], floor: int, failed: set[int]
-) -> dict[int, list[int]]:
+def _mark_copy_dead(queue: list[int], x: int, floor: int) -> None:
+    """Mark dead, in alg4's ``queue`` of a test's other endpoint, the copy of that
+    test, which just failed at ``x``: the first entry there that names ``x`` and
+    still counts. A copy of an earlier test on the same pair no longer counts, as
+    that test left ``x``'s queue first."""
+    for i in range(2, len(queue), 3):
+        if queue[i + 1] == x and queue[i] >= floor:
+            queue[i] = -1
+            return
+
+
+def _drop_dead_entries(by_vertex: dict[int, list[int]], floor: int) -> dict[int, list[int]]:
     """alg4's queues without their dead entries, in a new dict: each queue is
-    compacted in place to the entries whose top is at or above ``floor`` and
-    whose position is not in ``failed``, and a queue left empty is dropped."""
+    compacted in place to the entries whose top is at or above ``floor``, and a
+    queue left empty is dropped."""
     for queue in by_vertex.values():
         kept = [queue[0]]
         for i in range(1, len(queue), 3):
-            if queue[i + 1] >= floor and queue[i + 2] not in failed:
+            if queue[i + 1] >= floor:
                 kept += queue[i : i + 3]
         queue[:] = kept
     return {x: queue for x, queue in by_vertex.items() if len(queue) > 1}
@@ -391,25 +400,25 @@ def alg4_estimate_e_alpha(
     # A test fails at x once it has seen more than alpha later edges there, that is
     # for a finite alpha >= 1 once it has seen int(alpha) + 1 of them.
     reach = int(alpha) + 1
-    # by_vertex[x] is x's queue, [k, deadline_1, top_1, pos_1, deadline_2, top_2,
-    # pos_2, ...]: each entry holds its test inline, so a test is no object of its
+    # by_vertex[x] is x's queue, [k, deadline_1, top_1, other_1, deadline_2, top_2,
+    # other_2, ...]: each entry holds its test inline, so a test is no object of its
     # own and its two endpoints' queues each keep a copy. k counts the events at x
     # since the queue was made, and a test begun at count k0 fails at x when k reaches
-    # its deadline k0 + reach; top_i is the edge's top level and pos_i its position.
-    # Tests enter in creation order, so deadlines never decrease along a queue:
-    # feeding x bumps k and pops the front while k has reached its deadline. A live
-    # test popped there fails, and ``failed`` holds its position until the other end
-    # pops it, so it is counted down once. An entry whose test no longer counts, the
-    # other end's copy of a failed test or an entry whose top fell below the floor,
-    # is dead; it leaves at its deadline, uncounted. ``dead`` counts them, and once
-    # they outnumber the live entries (two per live test), _drop_dead_entries
-    # rebuilds the queues and the dict without them. A queue whose last test leaves is deleted.
+    # its deadline k0 + reach; top_i is the edge's top level and other_i its other
+    # endpoint. Tests enter in creation order, so deadlines never decrease along a
+    # queue: feeding x bumps k and pops the front while k has reached its deadline. A
+    # test popped there whose top is at or above the floor fails, and its copy at the
+    # other end gets top -1, so it is counted down once. Any other entry is dead and
+    # leaves at its deadline, uncounted. ``entries`` counts every queued entry, and
+    # once dead ones outnumber the live ones (two per live test), _drop_dead_entries
+    # rebuilds the queues and the dict without them. A queue whose last test leaves
+    # is deleted.
     by_vertex: dict[int, list[int]] = {}
     queue_at = by_vertex.get
-    failed: set[int] = set()
-    dead = 0
+    entries = 0
     peak = 0  # the most live tests at once
-    all_tests: list[tuple[int, int, int]] = []  # (top, position, start floor), for the trace
+    if collect_trace:
+        started: dict[int, list[int]] = {i: [] for i in range(num_levels)}
 
     # The loop's only containers are queues of ints, so it makes no reference cycles
     # and the cyclic collector has nothing to free in it. Left on, its passes take
@@ -426,19 +435,12 @@ def alg4_estimate_e_alpha(
                 queue_u[0] = k
                 while k >= queue_u[1]:
                     top = queue_u[2]
-                    if top < floor:  # stale
-                        dead -= 1
-                    else:
-                        at = queue_u[3]
-                        if at in failed:  # the end of a test that failed at v
-                            failed.remove(at)
-                            dead -= 1
-                        else:  # fails at u: v's entry is dead from now on
-                            at_top[top] -= 1
-                            live -= 1
-                            failed.add(at)
-                            dead += 1
+                    if top >= floor:  # fails at u: its copy at the other end is dead
+                        at_top[top] -= 1
+                        live -= 1
+                        _mark_copy_dead(by_vertex[queue_u[3]], u, floor)
                     del queue_u[1:4]
+                    entries -= 1
                     if len(queue_u) == 1:
                         del by_vertex[u]
                         queue_u = None
@@ -449,19 +451,12 @@ def alg4_estimate_e_alpha(
                 queue_v[0] = k
                 while k >= queue_v[1]:
                     top = queue_v[2]
-                    if top < floor:
-                        dead -= 1
-                    else:
-                        at = queue_v[3]
-                        if at in failed:
-                            failed.remove(at)
-                            dead -= 1
-                        else:
-                            at_top[top] -= 1
-                            live -= 1
-                            failed.add(at)
-                            dead += 1
+                    if top >= floor:
+                        at_top[top] -= 1
+                        live -= 1
+                        _mark_copy_dead(by_vertex[queue_v[3]], v, floor)
                     del queue_v[1:4]
+                    entries -= 1
                     if len(queue_v) == 1:
                         del by_vertex[v]
                         queue_v = None
@@ -471,29 +466,29 @@ def alg4_estimate_e_alpha(
                 top = top_level
             if top >= floor:
                 if queue_u is None:
-                    by_vertex[u] = [0, reach, top, pos]
+                    by_vertex[u] = [0, reach, top, v]
                 else:
-                    queue_u += (queue_u[0] + reach, top, pos)
+                    queue_u += (queue_u[0] + reach, top, v)
                 if queue_v is None:
-                    by_vertex[v] = [0, reach, top, pos]
+                    by_vertex[v] = [0, reach, top, u]
                 else:
-                    queue_v += (queue_v[0] + reach, top, pos)
+                    queue_v += (queue_v[0] + reach, top, u)
                 at_top[top] += 1
                 live += 1
+                entries += 2
                 if collect_trace:
-                    all_tests.append((top, pos, floor))
+                    for i in range(floor, top + 1):
+                        started[i].append(pos)
                 while live > tau and floor < num_levels:
-                    # both entries of every live test at the old floor go stale
-                    dead += 2 * at_top[floor]
+                    # both entries of every live test at the old floor go dead
                     live -= at_top[floor]
                     floor += 1
                 if live > peak:
                     peak = live
-                if dead > 2 * live:
-                    by_vertex = _drop_dead_entries(by_vertex, floor, failed)
+                if entries > 4 * live:
+                    by_vertex = _drop_dead_entries(by_vertex, floor)
                     queue_at = by_vertex.get
-                    failed.clear()
-                    dead = 0
+                    entries = 2 * live
     finally:
         # free the queues while the collector is still off: each freed queue takes
         # back its allocation count, so resuming finds no pass due, where ~95k live
@@ -516,10 +511,6 @@ def alg4_estimate_e_alpha(
 
     trace = None
     if collect_trace:
-        started: dict[int, list[int]] = {i: [] for i in range(num_levels)}
-        for top, pos, low in all_tests:
-            for i in range(low, top + 1):
-                started[i].append(pos)
         trace = {"started": started, "terminated": [i < floor for i in range(num_levels)]}
     return Estimate(
         value=value,

@@ -123,9 +123,10 @@ def test_the_call_leaves_no_collector_pass_due():
     assert est.space_peak > 3000  # thousands of tests were live at once
 
 
-def test_live_tests_cost_at_most_50_bytes_per_space_item():
+def test_live_tests_cost_at_most_41_bytes_per_space_item():
     # space accounting is honest: the bytes the call allocates track the items it counts.
-    # Each test's two queue entries hold it inline: about 46 B per item on CPython 3.11
+    # Each test's two queue entries hold it inline, and each names the other endpoint,
+    # an int the stream already holds: about 37 B per item on CPython 3.11
     stream = order_stream(generate_union_of_forests(20_000, 2, seed=0), "uniform-random", 0)
     tracemalloc.start()
     try:
@@ -136,7 +137,7 @@ def test_live_tests_cost_at_most_50_bytes_per_space_item():
     finally:
         tracemalloc.stop()
     assert est.params["selected_level"] == 0 and est.space_peak > 10_000
-    assert peak <= 50 * est.space_peak
+    assert peak <= 41 * est.space_peak
 
 
 def _fixed_cap_stream(m):
@@ -146,8 +147,8 @@ def _fixed_cap_stream(m):
 
 def test_bytes_stop_growing_with_the_stream_at_a_fixed_cap():
     # dead queue entries are swept once they outnumber the live entries, so
-    # the bytes follow the live tests, not m: the peak reads 0.77 MB at m = 20k and
-    # 1.02 MB at m = 80k on CPython 3.11 (1.32x), against 1.01 and 1.70 MB (1.69x)
+    # the bytes follow the live tests, not m: the peak reads 0.73 MB at m = 20k and
+    # 0.96 MB at m = 80k on CPython 3.11 (1.31x), against 1.01 and 1.70 MB (1.69x)
     # when dead entries stayed until their vertex's next event reached them
     peaks = []
     for m in (20_000, 80_000):
@@ -168,9 +169,9 @@ def test_dead_entries_are_swept_at_a_fixed_cap_and_never_on_survivor_streams(mon
     sweeps = []
     sweep = estimators._drop_dead_entries
 
-    def counted(by_vertex, floor, failed):
+    def counted(by_vertex, floor):
         sweeps.append(floor)
-        return sweep(by_vertex, floor, failed)
+        return sweep(by_vertex, floor)
 
     monkeypatch.setattr(estimators, "_drop_dead_entries", counted)
     checked_alg4_trace(_fixed_cap_stream(20_000), 12, 2, 0.5, 0, tau_override=2000)
@@ -358,14 +359,23 @@ def test_sampled_regime_tracks_the_offline_count():
         assert hits >= 0.9 * len(seeds)
 
 
+def _repeated_inserts(n, m, seed):
+    # an unvalidated stream that inserts some pairs again, so one pair can hold two
+    # live tests and a failed test's copy must be told apart from its twin's
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return _stream(n, [rng.choice(pairs) for _ in range(m)])
+
+
 def _differential_corpus():
-    # per c: union-of-forests under all five orderings, and a star forest whose
-    # 60-leaf hubs see far more than alpha later edges
+    # per c: union-of-forests under all five orderings, a star forest whose
+    # 60-leaf hubs see far more than alpha later edges, and repeated inserts
     for c in (1, 2, 3):
         g = generate_union_of_forests(200, c, seed=c)
         for policy in OrderingPolicy:
             yield c, order_stream(g, policy, c)
         yield c, order_stream(generate_star_forest(10, 60), "uniform-random", c)
+        yield c, _repeated_inserts(30, 400, c)
 
 
 def test_queue_loop_matches_the_per_endpoint_walk():
@@ -377,7 +387,7 @@ def test_queue_loop_matches_the_per_endpoint_walk():
                     est = checked_alg4_trace(stream, alpha, c, 0.5, seed, tau_override=tau)
                     if tau == 40 and alpha == 6 * c:
                         rose.append(est.trace["terminated"][0])
-    assert len(rose) == 36 and all(rose)  # at alpha = 6c, tau = 40 always raised the floor
+    assert len(rose) == 42 and all(rose)  # at alpha = 6c, tau = 40 always raised the floor
 
 
 def test_sampled_levels_hold_exactly_the_replayed_offline_survivors():

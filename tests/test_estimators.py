@@ -441,7 +441,7 @@ def test_alg2_deterministic():
     ("dynamic", 270), ("dynamic", 180),
 ])
 def test_degree_samplers_stay_under_a_bytes_per_space_item_ceiling(algorithm, ceiling):
-    # next to alg4's 50 B/item: a stored edge costs a set entry at each
+    # next to alg4's 41 B/item: a stored edge costs a set entry at each
     # sampled endpoint, and every sampled vertex owns a set
     if algorithm == "dynamic":
         st = generate_dynamic_stream(generate_union_of_forests(5000, 1, seed=0), 0.5, 0)
