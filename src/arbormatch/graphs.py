@@ -346,7 +346,7 @@ def degeneracy(g: Graph) -> int:
     if n == 0 or not g.edges:
         return 0
     adj = g.adjacency
-    deg = list(g.degrees)
+    deg = list(map(len, adj))
     buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)

@@ -186,14 +186,18 @@ def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
     Fisher-Yates from the end: position i swaps with j drawn below i + 1 the
     way CPython's ``Random._randbelow`` draws, ``getrandbits`` of (i + 1)'s
     bit length until the value is at most i. Inlining the draw saves the two
-    method calls ``shuffle`` makes per item.
+    method calls ``shuffle`` makes per item. The bit count is set once per
+    block: every i in [2^(bits-1) - 1, 2^bits - 2] draws ``bits`` bits.
     """
-    for i in range(len(items) - 1, 0, -1):
-        bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
+    hi = len(items) - 1
+    for bits in range(len(items).bit_length(), 1, -1):
+        lo = (1 << (bits - 1)) - 1
+        for i in range(hi, lo - 1, -1):
             j = getrandbits(bits)
-        items[i], items[j] = items[j], items[i]
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        hi = lo - 1
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +218,13 @@ def generate_union_of_forests(n: int, c: int, seed: int) -> Graph:
     the way CPython's ``Random._randbelow`` serves ``randrange(k)``:
     ``getrandbits(k.bit_length())`` until the value is below k. So the graph
     is the same one a ``randrange`` loop builds, with both bit lengths
-    computed once. A pair is accepted when its endpoints have different roots
-    in a path-halving union-find; which root becomes the parent does not
-    change which later pairs are accepted.
+    computed once. A pair is accepted when its endpoints carry different
+    component labels in ``comp``. An accepted pair relabels the smaller
+    component into the larger (weighted quick-find, Tarjan & van Leeuwen,
+    JACM 1984): O(n log n) relabels per forest, and a rejected pair costs
+    one compare. ``members`` lists the vertices of each component of two or
+    more; a singleton's label is its own vertex. Which label survives a
+    merge does not change which later pairs are accepted.
     """
     if n < 2:
         raise GraphError(f"n must be >= 2, got {n}")
@@ -229,27 +237,30 @@ def generate_union_of_forests(n: int, c: int, seed: int) -> Graph:
     seen: set[Edge] = set()
     edges: list[Edge] = []
     for _ in range(c):
-        parent = list(range(n))
-        accepted = 0
-        while accepted < last:
-            u = getrandbits(bits_u)
-            while u >= n:
+        comp = list(range(n))
+        members: dict[int, list[int]] = {}
+        for _ in range(last):  # a spanning forest accepts n - 1 pairs
+            while True:
                 u = getrandbits(bits_u)
-            v = getrandbits(bits_v)
-            while v >= last:
+                while u >= n:
+                    u = getrandbits(bits_u)
                 v = getrandbits(bits_v)
-            if v >= u:
-                v += 1
-            a = u
-            while parent[a] != a:  # path halving: a jumps to its grandparent
-                parent[a] = a = parent[parent[a]]
-            b = v
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a == b:
-                continue
-            parent[a] = b
-            accepted += 1
+                while v >= last:
+                    v = getrandbits(bits_v)
+                if v >= u:
+                    v += 1
+                a = comp[u]
+                b = comp[v]
+                if a != b:
+                    break
+            keep = members.pop(a, None) or [a]
+            gone = members.pop(b, None) or [b]
+            if len(keep) < len(gone):
+                a, keep, gone = b, gone, keep
+            for w in gone:
+                comp[w] = a
+            keep += gone
+            members[a] = keep
             e = (u, v) if u < v else (v, u)
             if e not in seen:
                 seen.add(e)

@@ -380,6 +380,22 @@ def test_degeneracy_matches_naive_peel(rng):
         assert degeneracy(g) == naive_degeneracy(g), g
 
 
+def test_degeneracy_reads_degrees_from_the_adjacency(rng):
+    # degeneracy takes its degrees from the adjacency lists, not Graph.degrees:
+    # both must agree, and isolated vertices must still be peeled at degree 0
+    cases = [Graph(12, ((0, 1), (1, 2), (0, 2), (2, 3))), Graph(7, ((3, 6),))]
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 25))
+        cases.append(Graph(g.n + 5, g.edges))  # five more isolated vertices
+    for g in cases:
+        assert "degrees" not in g.__dict__  # the cached degrees were never read
+        assert degeneracy(g) == naive_degeneracy(g), g
+    for c in (1, 2, 3, 4):
+        for seed in range(5):
+            g = generate_union_of_forests(rng.randint(2, 300), c, seed)
+            assert g.degrees == tuple(map(len, g.adjacency))
+
+
 def test_degeneracy_bounds_declared_arboricity(rng):
     for seed in range(20):
         c = rng.randint(1, 3)

@@ -285,8 +285,10 @@ def test_order_stream_uniform_random_deterministic():
     assert sorted((u, v) for _, u, v in a.events) == sorted(g.edges)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 1000, 15000])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 7, 8, 9, 1000, 1023, 1024, 1025, 15000])
 def test_order_stream_uniform_random_matches_the_shuffle_reference(m):
+    # m on both sides of a power of two: the shuffle's draw sets its bit count
+    # once per block of positions, and a block ends there
     g = path_graph(m + 1) if m < 3 else generate_random_tree(m + 1, seed=m)
     for seed in range(4):
         events = order_stream(g, "uniform-random", seed).events

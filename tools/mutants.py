@@ -42,6 +42,7 @@ COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".benchmarks", ".perfbench-*", "*.egg-info"
 )
 ESTIMATORS = "src/arbormatch/estimators.py"
+STREAMS = "src/arbormatch/streams.py"
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,18 @@ CATALOGUE = (
         ESTIMATORS,
         "if entries > 4 * live:",
         "if False:",
+    ),
+    Mutant(
+        "shuffle-block-off-by-one",  # each block starts one i late: i = 1 never swaps
+        STREAMS,
+        "lo = (1 << (bits - 1)) - 1",
+        "lo = 1 << (bits - 1)",
+    ),
+    Mutant(
+        "merge-drops-members",  # a merged component's old vertices keep a stale label
+        STREAMS,
+        "            keep += gone\n",
+        "",
     ),
     Mutant(
         "selection-strictly-under-threshold",
