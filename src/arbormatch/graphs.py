@@ -157,12 +157,16 @@ def maximum_matching_size(g: Graph) -> int:
     so few vertices trigger an augmentation round: a free vertex with one free
     neighbour is matched to it before the vertex-order greedy takes its next
     step, and such a match is always in some maximum matching of what is left.
-    Each root's search resets only the vertices it touched, and each
-    contraction relabels only the vertices inside the new blossom, found from
-    the bases on its cycle; so a search costs time in the part of the graph it
-    explores, not in n. Desk-scale only (a search that finds no augmenting
-    path still explores its whole component); large forests should use
-    forest_matching_size.
+    If the greedy step never had to guess (match a vertex with two or more
+    free neighbours), every match was forced and no edge joins two free
+    vertices, so the seed is already maximum and the blossom phase is skipped;
+    on a forest the greedy step never guesses. Each root's search resets only
+    the vertices it touched, and each contraction relabels only the vertices
+    inside the new blossom, found from the bases on its cycle; so a search
+    costs time in the part of the graph it explores, not in n. A forest, or
+    any graph the greedy step matches without a guess, costs O(n + m). Once it
+    guesses, the matcher is desk-scale only: a search that finds no augmenting
+    path still explores its whole component.
     """
     n = g.n
     if n == 0 or not g.edges:
@@ -171,21 +175,21 @@ def maximum_matching_size(g: Graph) -> int:
     match = [-1] * n
     free = list(map(len, adj))  # free neighbours of each free vertex
     ones = [v for v in range(n - 1, -1, -1) if free[v] == 1]  # stack, pops in vertex order
+    guessed = False
     for u in range(n):
         while True:
             if ones:
                 x = ones.pop()
                 if match[x] >= 0 or free[x] != 1:
                     continue  # matched, or its one free neighbour was taken
-            elif match[u] < 0:
-                x = u  # the greedy step
+            elif match[u] < 0 and free[u]:
+                x = u  # the greedy step: u has two or more free neighbours
+                guessed = True
             else:
                 break
             for y in adj[x]:
                 if match[y] < 0:
                     break
-            else:
-                break  # only the greedy step gets here: u has no free neighbour
             match[x] = y
             match[y] = x
             for z in (x, y):
@@ -194,6 +198,9 @@ def maximum_matching_size(g: Graph) -> int:
                         free[w] -= 1
                         if free[w] == 1:
                             ones.append(w)
+    size = (n - match.count(-1)) // 2
+    if not guessed:
+        return size  # every match was forced, and no edge joins two free vertices
 
     parent = [-1] * n
     base = list(range(n))
@@ -277,7 +284,6 @@ def maximum_matching_size(g: Graph) -> int:
                     queue.append(match[to])
         return False
 
-    size = sum(1 for v in range(n) if match[v] >= 0) // 2
     for root in range(n):
         if match[root] < 0 and find_augmenting_path(root):
             size += 1
@@ -336,42 +342,35 @@ def degeneracy(g: Graph) -> int:
     Upper-bounds the arboricity within a factor of two, which makes it a
     checkable proxy for the bound a Graph declares.
 
-    Bucket-queue peel in O(n + m) (Matula & Beck, JACM 1983): bucket d lists
-    vertices whose degree was d when they were filed, and an entry whose
-    vertex has since lost degree is skipped. Removing a vertex of degree k
-    leaves every remaining degree at least k - 1, so the scan steps back one
-    bucket after each removal.
+    Rising-threshold peel (the k-cores of Seidman, Social Networks 1983): k
+    starts at the minimum degree; every vertex of degree <= k is removed, and
+    only neighbours still above k lose degree, each queued once when it falls
+    to k. When nothing is left at or below k, the vertices still above k form
+    the (k+1)-core: k is the answer if it is empty, and otherwise k rises by
+    one. A vertex stays above the threshold for at most deg + 1 levels, so the
+    rescans total at most 2m + n and the peel is O(n + m).
     """
-    n = g.n
-    if n == 0 or not g.edges:
+    if not g.edges:
         return 0
     adj = g.adjacency
     deg = list(map(len, adj))
-    buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
-    for v in range(n):
-        buckets[deg[v]].append(v)
-    best = k = 0
-    left = n
-    while left:
-        bucket = buckets[k]
-        if not bucket:
-            k += 1
-            continue
-        v = bucket.pop()
-        if deg[v] != k:
-            continue  # stale entry
-        deg[v] = -1  # removed; a live neighbour of v still has degree >= 1
-        left -= 1
-        if k > best:
-            best = k
-        for w in adj[v]:
-            d = deg[w]
-            if d > 0:
-                deg[w] = d - 1
-                buckets[d - 1].append(w)
-        if k:
-            k -= 1
-    return best
+    k = min(deg)
+    peel = [v for v, d in enumerate(deg) if d == k]
+    rest = range(len(deg))  # each level keeps the vertices still above k
+    while True:
+        for v in peel:  # a queue: it grows while it is read
+            for w in adj[v]:
+                d = deg[w]
+                if d > k:  # removed and queued vertices sit at or below k
+                    d -= 1
+                    deg[w] = d
+                    if d == k:
+                        peel.append(w)
+        rest = [v for v in rest if deg[v] > k]
+        if not rest:
+            return k
+        k += 1
+        peel = [v for v in rest if deg[v] == k]
 
 
 @dataclass(frozen=True)
@@ -427,18 +426,21 @@ def later_degree_profile(stream: "EdgeStream") -> list[int]:
     """Per stream position, the larger endpoint count of strictly later incident edges.
 
     Entry i-1 (0-based) belongs to the 1-indexed position i. A single backward
-    pass keeps running incidence counts, so the profile costs O(m). Raises
-    StreamInvariantError on streams with events other than inserts.
+    pass keeps a list of ``stream.n`` running incidence counts, so the profile
+    costs O(n + m). Raises StreamInvariantError on streams with events other
+    than inserts.
     """
     stream.require_insert_only()
     events = stream.events
-    later: dict[int, int] = {}
+    later = [0] * stream.n
     out = [0] * len(events)
     for i in range(len(events) - 1, -1, -1):
         _, u, v = events[i]
-        out[i] = max(later.get(u, 0), later.get(v, 0))
-        later[u] = later.get(u, 0) + 1
-        later[v] = later.get(v, 0) + 1
+        a = later[u]
+        b = later[v]
+        out[i] = a if a > b else b
+        later[u] = a + 1
+        later[v] = b + 1
     return out
 
 

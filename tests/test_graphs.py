@@ -8,13 +8,16 @@ from arbormatch import (
     Graph,
     GraphError,
     ParseError,
+    StreamInvariantError,
     build_graph,
     characterize,
     degeneracy,
     forest_matching_size,
     generate_random_tree,
+    generate_star_forest,
     generate_union_of_forests,
     greedy_maximal_matching,
+    later_degree_profile,
     maximum_matching_size,
     offline_alpha_good_set,
     order_stream,
@@ -275,11 +278,47 @@ def test_matching_on_pendant_cascades(rng):
         assert maximum_matching_size(g) == subset_dp_matching_size(g)
 
 
-def test_matching_on_random_trees_matches_the_forest_oracle():
-    for n in (2, 3, 9, 50, 400, 5000):
-        for seed in range(3):
-            t = generate_random_tree(n, seed)
-            assert maximum_matching_size(t) == forest_matching_size(t)
+def test_matching_on_forests_matches_the_forest_oracle():
+    # the greedy step never guesses on a forest, so these sizes come from the
+    # seed matching alone, with no blossom search
+    forests = [generate_random_tree(n, seed) for n in (2, 3, 9, 50, 400, 5000) for seed in range(3)]
+    forests += [generate_union_of_forests(n, 1, seed) for n in (2, 3, 9, 50, 400, 5000) for seed in range(3)]
+    forests += [generate_star_forest(k, s) for k in (1, 2, 7) for s in (1, 2, 5)]
+    for t in forests:
+        assert maximum_matching_size(t) == forest_matching_size(t)
+
+
+def test_matching_where_the_greedy_step_guesses_wrong():
+    # no vertex has degree 1, and the vertex-order greedy step's first match
+    # is in no maximum matching: the seed falls one short, so only the
+    # blossom phase after a guess reaches M*
+    cases = [
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 2),
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], 2),
+        (6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4), (2, 5)], 3),
+        (7, [(0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (2, 4), (2, 6), (4, 5), (5, 6)], 3),
+        (8, [(0, 1), (0, 6), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 7), (6, 7)], 4),
+    ]
+    for n, edges, expected in cases:
+        g = build_graph(n, edges)
+        assert min(map(len, g.adjacency)) >= 2
+        assert brute_force_matching_size(g) == expected
+        assert maximum_matching_size(g) == expected
+
+
+def test_matching_with_a_forest_beside_a_guess(rng):
+    # one guess, in a triangle or in K4 minus an edge, sends every free
+    # vertex through the blossom search, the forest's free roots included
+    for seed in range(10):
+        tree = generate_random_tree(rng.randint(2, 60), seed)
+        expected = forest_matching_size(tree)
+        for other, size in (([(0, 1), (1, 2), (0, 2)], 1), ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 2)):
+            k = max(max(e) for e in other) + 1
+            before = other + [(k + u, k + v) for u, v in tree.edges]
+            after = list(tree.edges) + [(tree.n + u, tree.n + v) for u, v in other]
+            for edges in (before, after):
+                g = build_graph(tree.n + k, edges)
+                assert maximum_matching_size(g) == expected + size
 
 
 def _odd_cycle_edges(start, k):
@@ -396,6 +435,36 @@ def test_degeneracy_reads_degrees_from_the_adjacency(rng):
             assert g.degrees == tuple(map(len, g.adjacency))
 
 
+def _clique_edges(start, k):
+    return [(start + i, start + j) for i in range(k) for j in range(i + 1, k)]
+
+
+def test_degeneracy_of_graphs_the_threshold_must_climb():
+    # the peel starts at the minimum degree, which is above 0 on cycles, K5 and
+    # the Petersen graph; isolated vertices pull it down to 0; and a clique
+    # joined to a long path peels the path at k = 1, then finds nothing to
+    # peel until k reaches the clique's own degree
+    cases = [build_graph(k, _odd_cycle_edges(0, k)) for k in range(3, 11)]
+    cases += [build_graph(5, _clique_edges(0, 5)), petersen()]
+    cases += [build_graph(k + 4, _odd_cycle_edges(0, k)) for k in (3, 4, 7)]
+    cases += [build_graph(14, _clique_edges(2, 5) + [(0, 1)])]
+    for k in (4, 6, 8):
+        path = [(k - 1 + i, k + i) for i in range(30)]
+        cases += [build_graph(k + 30, _clique_edges(0, k) + path)]
+        clique_last = [(i, i + 1) for i in range(31)] + _clique_edges(31, k)
+        cases += [build_graph(31 + k, clique_last)]
+    for g in cases:
+        assert degeneracy(g) == naive_degeneracy(g), g
+    assert [degeneracy(g) for g in cases[-6:]] == [3, 3, 5, 5, 7, 7]
+
+
+def test_a_declared_bound_below_the_degeneracy_still_raises():
+    k4_and_tail = tuple(_clique_edges(0, 4) + [(3, 4), (4, 5)])
+    with pytest.raises(GraphError, match=r"^degeneracy 3 exceeds 2\*c_declared = 2; "):
+        Graph(6, k4_and_tail, c_declared=1)
+    assert Graph(6, k4_and_tail, c_declared=2).degeneracy == 3
+
+
 def test_degeneracy_bounds_declared_arboricity(rng):
     for seed in range(20):
         c = rng.randint(1, 3)
@@ -469,6 +538,19 @@ def test_alpha_good_matches_naive_reference(rng):
         edges = [(u, v) for _, u, v in s.events]
         for alpha in (0, 1, 2, 3.5):
             assert offline_alpha_good_set(s, alpha) == naive_alpha_positions(edges, alpha)
+
+
+def test_later_degree_profile_on_a_stream_with_many_vertices():
+    # the counters are a list of n ints: a long list, three events
+    n = 10**6
+    edges = [(0, n - 1), (5, n - 1), (0, 5)]
+    s = _insert_stream(n, edges)
+    assert later_degree_profile(s) == [1, 1, 0]
+    for alpha in (0, 1, 2):
+        assert offline_alpha_good_set(s, alpha) == naive_alpha_positions(edges, alpha)
+    deleted = EdgeStream(n=n, events=(("+", 0, n - 1), ("-", 0, n - 1), ("+", 5, n - 1)))
+    with pytest.raises(StreamInvariantError, match="^stream contains delete events$"):
+        later_degree_profile(deleted)
 
 
 def test_greedy_matching_examples():

@@ -42,6 +42,7 @@ COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".benchmarks", ".perfbench-*", "*.egg-info"
 )
 ESTIMATORS = "src/arbormatch/estimators.py"
+GRAPHS = "src/arbormatch/graphs.py"
 STREAMS = "src/arbormatch/streams.py"
 
 
@@ -102,6 +103,34 @@ CATALOGUE = (
         STREAMS,
         "            keep += gone\n",
         "",
+    ),
+    Mutant(
+        "greedy-never-guesses",  # a seed that needed a guess is taken for a maximum matching
+        GRAPHS,
+        "                guessed = True\n",
+        "",
+    ),
+    Mutant(
+        "peel-leaves-a-level-early",  # a vertex is peeled once it falls to k + 1
+        GRAPHS,
+        "                    if d == k:\n",
+        "                    if d == k + 1:\n",
+    ),
+    Mutant(
+        "profile-counts-before-reading",  # each edge is counted among its own later edges
+        GRAPHS,
+        "        a = later[u]\n        b = later[v]\n        out[i] = a if a > b else b\n"
+        "        later[u] = a + 1\n        later[v] = b + 1\n",
+        "        later[u] += 1\n        later[v] += 1\n        a = later[u]\n        b = later[v]\n"
+        "        out[i] = a if a > b else b\n",
+    ),
+    Mutant(
+        "blossom-phase-always-runs",
+        GRAPHS,
+        "    if not guessed:\n",
+        "    if False:\n",
+        equivalent="the certificate only skips searches that cannot succeed: with no guess "
+        "the seed is already maximum, so every search fails and the size is the same",
     ),
     Mutant(
         "selection-strictly-under-threshold",
