@@ -160,13 +160,22 @@ def maximum_matching_size(g: Graph) -> int:
     If the greedy step never had to guess (match a vertex with two or more
     free neighbours), every match was forced and no edge joins two free
     vertices, so the seed is already maximum and the blossom phase is skipped;
-    on a forest the greedy step never guesses. Each root's search resets only
-    the vertices it touched, and each contraction relabels only the vertices
-    inside the new blossom, found from the bases on its cycle; so a search
-    costs time in the part of the graph it explores, not in n. A forest, or
-    any graph the greedy step matches without a guess, costs O(n + m). Once it
-    guesses, the matcher is desk-scale only: a search that finds no augmenting
-    path still explores its whole component.
+    on a forest the greedy step never guesses.
+
+    After a guess each phase grows one alternating forest from every free,
+    non-isolated vertex at once (Edmonds, *Paths, trees, and flowers*, Canad.
+    J. Math. 1965), breadth first from all roots: an edge between even
+    vertices of two trees closes an augmenting path, which is flipped at
+    once, and one inside a tree contracts a blossom. A phase that finds no
+    augmenting path ends the matcher, since then none exists. No matching
+    covers an isolated vertex, so the matcher stops before a phase once fewer
+    than two free roots are left (the counting bound); on odd n that skips a
+    failing last phase, which would explore a whole component. Each phase
+    resets only the vertices it touched, and each contraction relabels only
+    the vertices inside the new blossom, found from the bases on its cycle;
+    so a phase costs time in the part of the graph it explores, not in n. A
+    forest, or any graph the greedy step matches without a guess, costs
+    O(n + m).
     """
     n = g.n
     if n == 0 or not g.edges:
@@ -204,11 +213,12 @@ def maximum_matching_size(g: Graph) -> int:
 
     parent = [-1] * n
     base = list(range(n))
-    used = [False] * n
-    # Vertices whose parent/base/used the current search has set: the root,
-    # each vertex it reaches through an unmatched edge, and that vertex's mate.
+    used = [False] * n  # even: a root, an odd vertex's mate, or inside a blossom
+    tree = [0] * n  # the root of each vertex the current phase has reached; read only there
+    # Vertices whose parent/base/used the current phase has set: the roots,
+    # each vertex reached through an unmatched edge, and that vertex's mate.
     touched: list[int] = []
-    # Blossom base -> the other vertices contracted into it, this search.
+    # Blossom base -> the other vertices contracted into it, this phase.
     members: dict[int, list[int]] = {}
     cycle_bases: list[int] = []  # of the blossom being contracted
 
@@ -234,22 +244,41 @@ def maximum_matching_size(g: Graph) -> int:
             v = parent[match[v]]
         return base[v]
 
-    def find_augmenting_path(root: int) -> bool:
+    def flip(w: int) -> None:
+        # w is an even vertex's mate: flip matched/unmatched edges back to the root
+        while w >= 0:
+            pv = parent[w]
+            nxt = match[pv]
+            match[w] = pv
+            match[pv] = w
+            w = nxt
+
+    def augment(roots: list[int]) -> bool:
         for i in touched:
             parent[i] = -1
             base[i] = i
             used[i] = False
-        touched.clear()
+        touched[:] = roots
         members.clear()
-        touched.append(root)
-        used[root] = True
-        queue = deque([root])
+        for r in roots:
+            used[r] = True
+            tree[r] = r
+        queue = deque(roots)
         while queue:
             v = queue.popleft()
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
-                if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
+                if used[to]:
+                    if tree[to] != tree[v]:
+                        # two trees touch: join their roots through v-to
+                        roots.remove(tree[v])
+                        roots.remove(tree[to])
+                        flip(match[v])
+                        flip(match[to])
+                        match[v] = to
+                        match[to] = v
+                        return True
                     # odd cycle: contract the blossom around its base
                     cur = lowest_common_base(v, to)
                     cycle_bases.clear()
@@ -267,26 +296,22 @@ def maximum_matching_size(g: Graph) -> int:
                     entering.sort()
                     queue.extend(entering)
                 elif parent[to] < 0:
+                    # every free vertex is a root, so to is matched: it joins v's
+                    # tree as odd and its mate as even
+                    mate = match[to]
                     touched.append(to)
+                    touched.append(mate)
                     parent[to] = v
-                    if match[to] < 0:
-                        # flip matched/unmatched edges back to the root
-                        w = to
-                        while w >= 0:
-                            pv = parent[w]
-                            nxt = match[pv]
-                            match[w] = pv
-                            match[pv] = w
-                            w = nxt
-                        return True
-                    touched.append(match[to])
-                    used[match[to]] = True
-                    queue.append(match[to])
+                    tree[to] = tree[mate] = tree[v]
+                    used[mate] = True
+                    queue.append(mate)
         return False
 
-    for root in range(n):
-        if match[root] < 0 and find_augmenting_path(root):
-            size += 1
+    roots = [v for v in range(n) if match[v] < 0 and adj[v]]
+    # no matching covers an isolated vertex: at best the free roots pair up
+    bound = size + len(roots) // 2
+    while size < bound and augment(roots):
+        size += 1
     return size
 
 

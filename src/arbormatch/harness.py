@@ -9,6 +9,7 @@ byte-identical across runs except for the wall-time column.
 from __future__ import annotations
 
 import csv
+import gc
 import statistics
 import time
 from dataclasses import dataclass
@@ -226,11 +227,16 @@ def emit_csv(records: Iterable[TrialRecord], path: str) -> list[TrialRecord]:
     return written
 
 
-def _trials(
-    config: ExperimentConfig, fixed: tuple[Graph, int] | None
-) -> Iterator[TrialRecord]:
-    for i in range(config.trials):
-        seed = config.seed0 + i
+def _trial(
+    config: ExperimentConfig, seed: int, fixed: tuple[Graph, int] | None
+) -> TrialRecord:
+    # A trial's containers (edge and event tuples, adjacency lists, sampler sets)
+    # form no reference cycles, so the cyclic collector's passes free nothing in
+    # it. The graph, stream and estimate are this frame's locals, so they are
+    # freed on return, before anything allocates with the collector back on.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         if fixed is not None:
             g, m_star = fixed
         else:
@@ -242,7 +248,7 @@ def _trials(
         ratio = None
         if not est.failed and m_star > 0:
             ratio = est.value / m_star
-        yield TrialRecord(
+        return TrialRecord(
             seed=seed,
             value=est.value,
             m_star=m_star,
@@ -251,6 +257,16 @@ def _trials(
             failed=est.failed,
             ms=ms,
         )
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _trials(
+    config: ExperimentConfig, fixed: tuple[Graph, int] | None
+) -> Iterator[TrialRecord]:
+    for i in range(config.trials):
+        yield _trial(config, config.seed0 + i, fixed)
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:

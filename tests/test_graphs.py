@@ -306,6 +306,72 @@ def test_matching_where_the_greedy_step_guesses_wrong():
         assert maximum_matching_size(g) == expected
 
 
+def test_matching_where_two_trees_meet_only_through_a_blossom():
+    # In the first graph the seed matches 0-9, 1-7, 3-8 and 4-6 and leaves 2
+    # and 5 free. 2's tree reaches 7 first, as odd, so 5's edge to 7 meets an
+    # odd vertex; the one augmenting path, 2-1=7-5, needs 7 even, which only
+    # the triangle 2-7-1 contracted in 2's tree makes it. In the second the
+    # seed leaves 5 and 8 free, and the one augmenting path,
+    # 5-4=7-3=2-6=1-8, runs through blossoms contracted in both trees.
+    cases = [
+        (10, [
+            (2, 7), (3, 6), (1, 7), (4, 9), (5, 7), (5, 9), (1, 2), (3, 8), (3, 5),
+            (4, 6), (6, 8), (0, 9), (5, 8),
+        ], 5),
+        (10, [
+            (1, 6), (3, 7), (2, 3), (4, 7), (0, 9), (2, 4), (7, 9), (4, 5), (6, 8),
+            (1, 8), (2, 6), (2, 5),
+        ], 5),
+    ]
+    for n, edges, expected in cases:
+        g = build_graph(n, edges)
+        assert brute_force_matching_size(g) == expected
+        with _deadline(5):
+            size = maximum_matching_size(g)
+        assert size == expected
+
+
+def test_matching_where_the_last_phase_finds_trees_that_never_meet():
+    # Free vertices left in different odd components: their trees each
+    # contract a blossom and never meet, so the phase fails and ends the
+    # matcher below the counting bound. In the second graph a first phase
+    # augments inside K4 minus an edge before that.
+    triangle_and_c5 = [(0, 1), (1, 2), (0, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
+    k4_minus_edge = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    cases = [
+        (8, triangle_and_c5, 3),
+        (12, k4_minus_edge + [(4 + u, 4 + v) for u, v in triangle_and_c5], 5),
+    ]
+    for n, edges, expected in cases:
+        g = build_graph(n, edges)
+        assert brute_force_matching_size(g) == expected
+        with _deadline(5):
+            size = maximum_matching_size(g)
+        assert size == expected
+
+
+def test_matching_where_the_counting_bound_ends_the_matcher():
+    # Odd n and isolated vertices: once the matching pairs all but at most
+    # one of the non-isolated vertices no phase runs. The greedy step guesses
+    # wrong on each base graph, so one augmentation reaches the bound.
+    bases = [
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 2),
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], 2),
+        (7, [(0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (2, 4), (2, 6), (4, 5), (5, 6)], 3),
+    ]
+    for n, edges, expected in bases:
+        for before, after in ((0, 0), (1, 0), (0, 1), (2, 3)):
+            g = build_graph(before + n + after, [(before + u, before + v) for u, v in edges])
+            assert brute_force_matching_size(g) == expected
+            assert maximum_matching_size(g) == expected
+    for n in (11, 13, 15):
+        for seed in range(10):
+            g = generate_union_of_forests(n, 2, seed)
+            for isolated in (0, 1):
+                h = Graph(g.n + isolated, g.edges)
+                assert maximum_matching_size(h) == subset_dp_matching_size(h)
+
+
 def test_matching_with_a_forest_beside_a_guess(rng):
     # one guess, in a triangle or in K4 minus an edge, sends every free
     # vertex through the blossom search, the forest's free roots included

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 import re
 from types import SimpleNamespace
@@ -338,6 +339,63 @@ def test_dynamic_trial_computes_degeneracy_once(monkeypatch):
     )
     run_experiment(config)
     assert len(calls) == 1
+
+
+def _count_collector_passes(passes):
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    return count
+
+
+def test_trials_start_no_collector_pass():
+    # each trial allocates thousands of tracked containers with the collector
+    # paused and frees them on return, so resuming finds no pass due
+    config = ExperimentConfig(n=300, c=2, estimator="alg2", mu=7, trials=3)
+    passes = []
+    count = _count_collector_passes(passes)
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        gc.enable()
+        gc.collect()
+        passes.clear()
+        records = run_experiment(config)
+        assert passes == []
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+    assert [rec.seed for rec in records] == [0, 1, 2]
+
+
+def test_a_trial_leaves_the_collector_as_found(monkeypatch):
+    # also when the estimator raises mid-trial; the empty-stream parameter
+    # check still runs the estimator, so the stand-in raises only on events
+    config = ExperimentConfig(n=300, c=2, estimator="alg2", mu=7, trials=2)
+    original = ESTIMATORS["alg2"]
+    seen = []
+
+    def failing(a, stream, seed):
+        if stream.events:
+            seen.append(gc.isenabled())
+            raise RuntimeError("estimator failed mid-trial")
+        return original(a, stream, seed)
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            run_experiment(config)
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as patch:
+                patch.setitem(ESTIMATORS, "alg2", failing)
+                with pytest.raises(RuntimeError, match="^estimator failed mid-trial$"):
+                    run_experiment(config)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]  # paused inside the trial either way
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ Each catalogue entry names one edit, ``(file, old text, new text)``. For each
 entry the tool copies the repository into a temporary directory, applies the
 edit there (it stops with an error when the old text is not found exactly
 once, so the catalogue cannot rot silently), and runs the Tier-1 suite with
-``-x -q`` under a timeout. A mutant is *killed* when the suite fails, *timed
-out* when it hangs past the timeout (a hang is a failure too, so it counts as
-killed), and *survived* when every test passes. An entry listed as equivalent
-changes no output a test can reach, for the reason it gives; its edit is
-still applied, so its text stays checked, but the suite is not run for it.
+``-x -q`` under a timeout, after the mutated module's own test file
+(``tests/test_<module>.py``) when there is one. A mutant is *killed* when
+either run fails, *timed out* when it hangs past the timeout (a hang is a
+failure too, so it counts as killed), and *survived* when every test
+passes. An entry listed as equivalent changes no output a test can reach,
+for the reason it gives; its edit is still applied, so its text stays
+checked, but the suite is not run for it.
 
 The exit status is 0 when every other mutant is killed, 1 when one survives,
 and 2 when an edit no longer applies. Standard library only; the repository
@@ -43,6 +45,7 @@ COPY_IGNORE = shutil.ignore_patterns(
 )
 ESTIMATORS = "src/arbormatch/estimators.py"
 GRAPHS = "src/arbormatch/graphs.py"
+HARNESS = "src/arbormatch/harness.py"
 STREAMS = "src/arbormatch/streams.py"
 
 
@@ -125,6 +128,30 @@ CATALOGUE = (
         "        out[i] = a if a > b else b\n",
     ),
     Mutant(
+        "trees-never-meet",  # two trees that touch are contracted as one blossom
+        GRAPHS,
+        "if tree[to] != tree[v]:",
+        "if False:",
+    ),
+    Mutant(
+        "flip-one-side",  # only v's path is flipped when two trees meet
+        GRAPHS,
+        "                        flip(match[to])\n",
+        "",
+    ),
+    Mutant(
+        "bound-off-by-one",  # the matcher stops one short of the counting bound
+        GRAPHS,
+        "bound = size + len(roots) // 2",
+        "bound = size + len(roots) // 2 - 1",
+    ),
+    Mutant(
+        "collector-left-off",  # a trial leaves the cyclic collector paused
+        HARNESS,
+        "            gc.enable()\n",
+        "            pass\n",
+    ),
+    Mutant(
         "blossom-phase-always-runs",
         GRAPHS,
         "    if not guessed:\n",
@@ -175,16 +202,21 @@ def run(mutant: Mutant, timeout: float) -> tuple[str, str]:
         if mutant.equivalent:
             return "equivalent", mutant.equivalent
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        try:
-            done = subprocess.run(
-                [sys.executable, *TIER1], cwd=tree, env=env, timeout=timeout,
-                capture_output=True, text=True,
-            )
-        except subprocess.TimeoutExpired:
-            return "timed out", f"no result after {timeout:.0f} s"
-        if done.returncode == 0:
-            return "survived", "every Tier-1 test passed"
-        return "killed", first_failure(done.stdout + done.stderr)
+        # The mutated module's own test file runs first, on small cases that fail
+        # fast: a matcher mutant that loops forever on a large graph would hang the
+        # whole suite's first test (the acceptance corpus) until the timeout.
+        own = f"tests/test_{Path(mutant.path).stem}.py"
+        for paths in ([own], []) if (tree / own).exists() else ([],):
+            try:
+                done = subprocess.run(
+                    [sys.executable, *TIER1, *paths], cwd=tree, env=env, timeout=timeout,
+                    capture_output=True, text=True,
+                )
+            except subprocess.TimeoutExpired:
+                return "timed out", f"no result after {timeout:.0f} s"
+            if done.returncode != 0:
+                return "killed", first_failure(done.stdout + done.stderr)
+        return "survived", "every Tier-1 test passed"
 
 
 def main(argv: list[str] | None = None) -> int:
