@@ -341,20 +341,16 @@ def test_dynamic_trial_computes_degeneracy_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_collector_passes(passes):
-    def count(phase, info):
-        if phase == "start":
-            passes.append(info["generation"])
-
-    return count
-
-
 def test_trials_start_no_collector_pass():
     # each trial allocates thousands of tracked containers with the collector
     # paused and frees them on return, so resuming finds no pass due
     config = ExperimentConfig(n=300, c=2, estimator="alg2", mu=7, trials=3)
     passes = []
-    count = _count_collector_passes(passes)
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
     was_enabled = gc.isenabled()
     gc.callbacks.append(count)
     try:

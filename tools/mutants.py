@@ -156,8 +156,9 @@ CATALOGUE = (
         GRAPHS,
         "    if not guessed:\n",
         "    if False:\n",
-        equivalent="the certificate only skips searches that cannot succeed: with no guess "
-        "the seed is already maximum, so every search fails and the size is the same",
+        equivalent="the certificate only skips a phase that cannot succeed: with no guess "
+        "the seed is already maximum, so a phase, where the counting bound lets one start, "
+        "finds no augmenting path and the size is the same",
     ),
     Mutant(
         "selection-strictly-under-threshold",
