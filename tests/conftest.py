@@ -5,14 +5,7 @@ from functools import cache
 import pytest
 
 from arbormatch import EdgeStream, Estimate, Graph, GraphError, ParseError, build_graph
-from arbormatch.estimators import (
-    _check_c_epsilon,
-    alg4_estimate_e_alpha,
-    alg4_level_cap,
-    alg4_num_levels,
-    alg4_selection_threshold,
-    check_alpha,
-)
+from arbormatch.estimators import alg4_estimate_e_alpha
 from arbormatch.graphs import _parse_header
 
 
@@ -327,73 +320,65 @@ def reference_parse_stream(text: str) -> EdgeStream:
     return EdgeStream(n=n, events=tuple(events))
 
 
-def reference_alg4_estimate_e_alpha(
-    stream: EdgeStream, alpha, c, epsilon, seed, *, tau_override=None, collect_trace=False
-) -> Estimate:
-    """Reference for alg4_estimate_e_alpha: the loop that keeps a list of tests
-    per vertex, each test a list [u, top, r_u, r_v] with a later-edge counter
-    per endpoint, and walks and rebuilds both endpoints' lists on every event.
-    Both must return one value, space_peak and params, and the trace keys that
-    production keeps (``started``, ``terminated``) must match. Only this trace
-    also holds ``survivors[i]`` (positions still live at a live level i) and
-    ``max_live[i]`` (level i's largest live-test count while it was live)."""
-    _check_c_epsilon(c, epsilon)
-    check_alpha(alpha)
+def replay_alg4(stream: EdgeStream, alpha, c, epsilon, seed, *, tau_override=None) -> Estimate:
+    """Reference for alg4_estimate_e_alpha: an offline replay with no queue. The
+    seed's one ``random()`` per event gives each edge its top level, and a test
+    begun at an event fails at the first of its endpoints' (int(alpha)+1)-th later
+    events, read off each vertex's list of events. One sweep then counts down the
+    tests failing at each event whose top is at or above the floor, starts the
+    event's own test if its top is, and raises the floor while more than tau tests
+    live. num_levels, tau and tau' come from this function's own copies of the
+    paper's formulas, so comparing params checks the formulas too.
+
+    Its trace holds production's keys, ``started[i]`` (positions whose test
+    counted toward level i) and ``terminated[i]``, and also ``survivors[i]``
+    (positions still live at a live level i) and ``max_live[i]`` (level i's
+    largest live-test count while it was live)."""
     stream.require_insert_only()
-    n = stream.n
-    num_levels = alg4_num_levels(n, c, epsilon)
-    tau = alg4_level_cap(n, alpha, c, epsilon) if tau_override is None else tau_override
-    tau_prime = alg4_selection_threshold(n, epsilon)
+    n, events = stream.n, stream.events
+    num_levels = int(math.floor(math.log(max(c * n, 1)) / math.log(1.0 + epsilon))) + 1
+    log_n = math.log(max(n, 2))
+    tau = 64.0 * alpha * alpha * log_n / (c * epsilon * epsilon)
+    tau = tau if tau_override is None else tau_override
+    tau_prime = 8.0 * log_n / (epsilon * epsilon)
     growth = 1.0 + epsilon
-    top_level = num_levels - 1
     rand = random.Random(seed).random
+    tops = [min(int(-math.log(1.0 - rand()) / math.log(growth)), num_levels - 1) for _ in events]
+    at_vertex: dict[int, list[int]] = {}  # each vertex's event indices
+    for j, (_, u, v) in enumerate(events):
+        at_vertex.setdefault(u, []).append(j)
+        at_vertex.setdefault(v, []).append(j)
+    reach = int(alpha) + 1
+    ends = [math.inf] * len(events)  # the event index each test fails at
+    for js in at_vertex.values():
+        for k in range(len(js) - reach):
+            ends[js[k]] = min(ends[js[k]], js[k + reach])
+    failing: dict[int, list[int]] = {}  # event index -> tops of the tests failing there
+    for j, end in enumerate(ends):
+        failing.setdefault(end, []).append(tops[j])
+
     at_top = [0] * num_levels
-    live = 0
-    floor = 0
-    by_vertex = {}
-    peak = 0
-    all_tests = []
+    live = floor = peak = 0
+    started: dict[int, list[int]] = {i: [] for i in range(num_levels)}
     max_live = [0] * num_levels
-    for pos, (_, u, v) in enumerate(stream.events, 1):
-        for x in (u, v):
-            tests = by_vertex.get(x, [])
-            kept = []
-            for tst in tests:
-                if tst[1] < floor:
-                    continue  # failed or below the floor
-                side = 2 if x == tst[0] else 3
-                tst[side] += 1
-                if tst[side] > alpha:
-                    at_top[tst[1]] -= 1
-                    live -= 1
-                    tst[1] = -1
-                    continue
-                kept.append(tst)
-            if kept:
-                by_vertex[x] = kept
-            else:
-                by_vertex.pop(x, None)
-        top = min(int(-math.log(1.0 - rand()) / math.log(growth)), top_level)
+    for j, top in enumerate(tops):
+        for t in failing.get(j, ()):
+            if t >= floor:  # a test below the floor was never started, or was dropped
+                at_top[t] -= 1
+                live -= 1
         if top >= floor:
-            tst = [u, top, 0, 0]
-            by_vertex.setdefault(u, []).append(tst)
-            by_vertex.setdefault(v, []).append(tst)
             at_top[top] += 1
             live += 1
-            if collect_trace:
-                all_tests.append((tst, top, pos, floor))
-                count = 0
-                for i in range(top_level, floor - 1, -1):
-                    count += at_top[i]
-                    max_live[i] = max(max_live[i], count)
+            for i in range(floor, top + 1):
+                started[i].append(j + 1)
+                max_live[i] = max(max_live[i], sum(at_top[i:]))
             while floor < num_levels and live > tau:
                 live -= at_top[floor]
                 floor += 1
-            peak = max(peak, 3 * live)
+            peak = max(peak, live)
 
     threshold = math.inf if floor == 0 else tau_prime * (1.0 + epsilon)
-    value = None
-    selected = None
+    value = selected = None
     count = live
     for i in range(floor, num_levels):
         if count <= threshold:
@@ -401,49 +386,32 @@ def reference_alg4_estimate_e_alpha(
             value = count / growth ** (-i) if i else count
             break
         count -= at_top[i]
-
-    trace = None
-    if collect_trace:
-        started = {i: [] for i in range(num_levels)}
-        survivors = {i: [] for i in range(num_levels)}
-        for tst, top, pos, low in all_tests:
-            for i in range(low, top + 1):
-                started[i].append(pos)
-            for i in range(floor, tst[1] + 1):
-                survivors[i].append(pos)
-        trace = {
-            "started": started,
-            "survivors": survivors,
-            "max_live": max_live,
-            "terminated": [i < floor for i in range(num_levels)],
-        }
-    return Estimate(
-        value=value,
-        space_peak=peak,
-        params={
-            "algorithm": "alg4",
-            "alpha": alpha,
-            "c": c,
-            "epsilon": epsilon,
-            "tau": tau,
-            "tau_prime": tau_prime,
-            "num_levels": num_levels,
-            "selected_level": selected,
-        },
-        trace=trace,
+    survivors: dict[int, list[int]] = {i: [] for i in range(num_levels)}
+    for j, top in enumerate(tops):
+        if ends[j] == math.inf:
+            for i in range(floor, top + 1):
+                survivors[i].append(j + 1)
+    params = dict(
+        algorithm="alg4", alpha=alpha, c=c, epsilon=epsilon, tau=tau, tau_prime=tau_prime,
+        num_levels=num_levels, selected_level=selected,
     )
+    trace = dict(
+        started=started, survivors=survivors, max_live=max_live,
+        terminated=[i < floor for i in range(num_levels)],
+    )
+    return Estimate(value, 3 * peak, params, trace)
 
 
 def checked_alg4_trace(
     stream: EdgeStream, alpha, c, epsilon, seed, *, tau_override=None
 ) -> Estimate:
-    """The reference's traced run, after holding production's traced run on the
-    same arguments equal to it: value, space_peak, params and every trace key
-    production keeps. So a test that reads the reference's ``survivors`` or
+    """The offline replay, after holding production's traced run on the same
+    arguments equal to it: value, space_peak, params and every trace key
+    production keeps. So a test that reads the replay's ``survivors`` or
     ``max_live`` still checks production."""
     args = (stream, alpha, c, epsilon, seed)
     got = alg4_estimate_e_alpha(*args, tau_override=tau_override, collect_trace=True)
-    want = reference_alg4_estimate_e_alpha(*args, tau_override=tau_override, collect_trace=True)
+    want = replay_alg4(*args, tau_override=tau_override)
     assert (got.value, got.space_peak, got.params) == (want.value, want.space_peak, want.params)
     assert got.trace == {key: want.trace[key] for key in got.trace}
     return want

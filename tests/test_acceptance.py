@@ -483,3 +483,49 @@ def test_c11_survival_rule_on_preferential_attachment():
         f"{in_window}/{runs} ratios inside [1-3eps, (22.5c+6)(1+3eps)]; "
         f"e_6c/m in [{min(fractions):.3f}, {max(fractions):.3f}]",
     )
+
+
+# ---------------------------------------------------------------------------
+# 12. the survivor counter in its sampled regime at the paper's own tau
+# ---------------------------------------------------------------------------
+
+
+def test_c12_alg4_sampled_regime_at_the_paper_tau():
+    # c07 and c11 count exactly at level 0; at n = 100k, alpha = 1 and eps = 0.5 the
+    # default tau is far below e_1, so the floor rises and the estimate is a scaled
+    # count at a sampled level, stored in fewer items than the graph has edges
+    alpha, c, epsilon = 1, 1, 0.5
+    g = generate_union_of_forests(100_000, c, 12345)
+    runs = 0
+    off_regime = []  # (policy, seed) runs at level 0, over 3*tau, or at >= 1 item/edge
+    within = 0
+    errors = []
+    levels = set()
+    items_per_edge = []
+    for policy in ("uniform-random", "centers-first"):
+        stream = order_stream(g, policy, 678)
+        e_1 = len(offline_alpha_good_set(stream, alpha))
+        for seed in range(20):
+            est = alg4_estimate_e_alpha(stream, alpha=alpha, c=c, epsilon=epsilon, seed=seed)
+            runs += 1
+            level = est.params["selected_level"]
+            items_per_edge.append(est.space_peak / len(stream.events))
+            if (
+                not level
+                or est.space_peak > 3 * est.params["tau"]
+                or est.space_peak >= len(stream.events)
+            ):
+                off_regime.append((policy, seed))
+            if est.value is not None:
+                levels.add(level)
+                errors.append(abs(est.value / e_1 - 1))
+                within += errors[-1] <= epsilon
+    ok = not off_regime and within >= 0.9 * runs
+    _report(
+        12,
+        "alg4 sampled regime at the paper's tau",
+        ok,
+        f"{within}/{runs} estimates within eps of e_1; worst error={max(errors):.3f}; "
+        f"levels={sorted(levels)}; max items/edge={max(items_per_edge):.3f}; "
+        f"runs at level 0, over 3*tau or at >= 1 item/edge={off_regime}",
+    )

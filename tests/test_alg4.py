@@ -378,7 +378,7 @@ def _differential_corpus():
         yield c, _repeated_inserts(30, 400, c)
 
 
-def test_queue_loop_matches_the_per_endpoint_walk():
+def test_queue_loop_matches_the_offline_replay():
     rose = []
     for c, stream in _differential_corpus():
         for alpha in (1, 2.0, 2.5, 2.999, 6 * c):

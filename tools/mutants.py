@@ -7,13 +7,13 @@ Each catalogue entry names one edit, ``(file, old text, new text)``. For each
 entry the tool copies the repository into a temporary directory, applies the
 edit there (it stops with an error when the old text is not found exactly
 once, so the catalogue cannot rot silently), and runs the Tier-1 suite with
-``-x -q`` under a timeout, after the mutated module's own test file
-(``tests/test_<module>.py``) when there is one. A mutant is *killed* when
-either run fails, *timed out* when it hangs past the timeout (a hang is a
-failure too, so it counts as killed), and *survived* when every test
-passes. An entry listed as equivalent changes no output a test can reach,
-for the reason it gives; its edit is still applied, so its text stays
-checked, but the suite is not run for it.
+``-x -q`` under a timeout, after the mutated module's own test files (those
+``OWN_TESTS`` names, else ``tests/test_<module>.py`` when there is one). A
+mutant is *killed* when either run fails, *timed out* when it hangs past the
+timeout (a hang is a failure too, so it counts as killed), and *survived*
+when every test passes. An entry listed as equivalent changes no output a
+test can reach, for the reason it gives; its edit is still applied, so its
+text stays checked, but the suite is not run for it.
 
 The exit status is 0 when every other mutant is killed, 1 when one survives,
 and 2 when an edit no longer applies. Standard library only; the repository
@@ -47,6 +47,11 @@ ESTIMATORS = "src/arbormatch/estimators.py"
 GRAPHS = "src/arbormatch/graphs.py"
 HARNESS = "src/arbormatch/harness.py"
 STREAMS = "src/arbormatch/streams.py"
+# The test files run before the suite for a mutant of each module; by default a
+# module's own ``tests/test_<module>.py``. alg4 lives in estimators.py, but its
+# differential and survivor tests are in tests/test_alg4.py, which kills an alg4
+# mutant in seconds where the whole suite takes 20-48 s to reach them.
+OWN_TESTS = {ESTIMATORS: ["tests/test_alg4.py", "tests/test_estimators.py"]}
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,24 @@ CATALOGUE = (
         ESTIMATORS,
         "if entries > 4 * live:",
         "if False:",
+    ),
+    Mutant(
+        "tau-alpha-not-squared",  # the level cap grows with alpha, not alpha squared
+        ESTIMATORS,
+        "64.0 * alpha * alpha",
+        "64.0 * alpha",
+    ),
+    Mutant(
+        "scale-one-level-low",  # a count at level i is scaled as if it were at level i - 1
+        ESTIMATORS,
+        "value = count / growth ** (-i) if i else count",
+        "value = count / growth ** (-(i - 1)) if i else count",
+    ),
+    Mutant(
+        "highest-qualifying-level",  # selection keeps the last level under tau', not the first
+        ESTIMATORS,
+        "            value = count / growth ** (-i) if i else count\n            break\n",
+        "            value = count / growth ** (-i) if i else count\n",
     ),
     Mutant(
         "shuffle-block-off-by-one",  # each block starts one i late: i = 1 never swaps
@@ -206,8 +229,9 @@ def run(mutant: Mutant, timeout: float) -> tuple[str, str]:
         # The mutated module's own test file runs first, on small cases that fail
         # fast: a matcher mutant that loops forever on a large graph would hang the
         # whole suite's first test (the acceptance corpus) until the timeout.
-        own = f"tests/test_{Path(mutant.path).stem}.py"
-        for paths in ([own], []) if (tree / own).exists() else ([],):
+        own = OWN_TESTS.get(mutant.path, [f"tests/test_{Path(mutant.path).stem}.py"])
+        own = [path for path in own if (tree / path).exists()]
+        for paths in (own, []) if own else ([],):
             try:
                 done = subprocess.run(
                     [sys.executable, *TIER1, *paths], cwd=tree, env=env, timeout=timeout,
