@@ -14,8 +14,8 @@ from arbormatch import (
     Alg1Params,
     alg1_estimate,
     alg2_estimate,
-    forest_matching_size,
     generate_union_of_forests,
+    maximum_matching_size,
     order_stream,
 )
 
@@ -23,7 +23,7 @@ from arbormatch import (
 def main():
     mu, c, epsilon = 3, 1, 0.8
     g = generate_union_of_forests(4000, c, seed=1)
-    m_star = forest_matching_size(g)
+    m_star = maximum_matching_size(g)
     stream = order_stream(g, "uniform-random", seed=0)
     print(f"graph: n={g.n} m={g.m} exact matching M*={m_star}")
 
@@ -46,7 +46,7 @@ def main():
     print(f"  n=200:   branch={est.params['branch']:<6} value={est.value} "
           f"(greedy r={est.params['greedy_r']} < t={est.params['t']})")
     big = generate_union_of_forests(15_000, c, seed=3)
-    big_star = forest_matching_size(big)
+    big_star = maximum_matching_size(big)
     est = alg2_estimate(order_stream(big, "uniform-random", 0), c=c, mu=mu,
                         epsilon=epsilon, seed=0)
     print(f"  n=15000: branch={est.params['branch']:<6} value={est.value:.0f} "

@@ -12,16 +12,16 @@ from statistics import fmean
 
 from arbormatch import (
     dynamic_estimate,
-    forest_matching_size,
     generate_dynamic_stream,
     generate_union_of_forests,
+    maximum_matching_size,
 )
 
 
 def main():
     mu, c, epsilon = 3, 1, 0.5
     g = generate_union_of_forests(300, c, seed=4)
-    m_star = forest_matching_size(g)
+    m_star = maximum_matching_size(g)
     print(f"final graph: n={g.n} m={g.m} M*={m_star}")
 
     print("\n== estimates stay in the guaranteed window as churn grows ==")

@@ -20,7 +20,6 @@ from .graphs import (
     build_graph,
     characterize,
     degeneracy,
-    forest_matching_size,
     greedy_maximal_matching,
     later_degree_profile,
     maximum_matching_size,
@@ -72,7 +71,6 @@ __all__ = [
     "dynamic_estimate",
     "emit_csv",
     "estimate_matching_logspace",
-    "forest_matching_size",
     "generate_dynamic_stream",
     "generate_random_tree",
     "generate_star_forest",

@@ -286,15 +286,11 @@ def maximum_matching_size(g: Graph) -> int:
                     mark_path(to, cur, v)
                     inside = [i for b in set(cycle_bases) for i in (b, *members.pop(b, ()))]
                     members.setdefault(cur, []).extend(inside)
-                    entering = []
                     for i in inside:
                         base[i] = cur
                         if not used[i]:
                             used[i] = True
-                            entering.append(i)
-                    # in vertex order, as a scan over every vertex would enqueue them
-                    entering.sort()
-                    queue.extend(entering)
+                            queue.append(i)
                 elif parent[to] < 0:
                     # every free vertex is a root, so to is matched: it joins v's
                     # tree as odd and its mate as even
@@ -318,9 +314,10 @@ def maximum_matching_size(g: Graph) -> int:
 def forest_matching_size(g: Graph) -> int:
     """Exact maximum matching size of a forest by repeated leaf matching.
 
-    Matching any leaf with its neighbor is always optimal on forests, which
-    makes this a linear-time second oracle for tree-shaped corpora. Raises
-    GraphError if the graph contains a cycle.
+    Matching any leaf with its neighbor is always optimal on forests. Not
+    exported: it stays only as an oracle independent of
+    ``maximum_matching_size``, for the benchmark's dynamic-churn check.
+    Raises GraphError if the graph contains a cycle.
     """
     n = g.n
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -416,12 +413,8 @@ class CharacterizationReport:
     n_l: int
 
 
-def characterize(g: Graph, mu: int, m_star: int | None = None) -> CharacterizationReport:
-    """Exact degree-threshold characterization of g at threshold mu >= 1.
-
-    A caller that already holds M*(g) passes it as ``m_star`` to skip the
-    whole-graph matching; otherwise it is computed here.
-    """
+def characterize(g: Graph, mu: int) -> CharacterizationReport:
+    """Exact degree-threshold characterization of g at threshold mu >= 1."""
     if mu < 1:
         raise GraphError(f"mu must be >= 1, got {mu}")
     deg = g.degrees
@@ -434,7 +427,7 @@ def characterize(g: Graph, mu: int, m_star: int | None = None) -> Characterizati
     low_graph = Graph(n=g.n, edges=low_edges)
     return CharacterizationReport(
         mu=mu,
-        m_star=maximum_matching_size(g) if m_star is None else m_star,
+        m_star=maximum_matching_size(g),
         h_mu=h_mu,
         s_mu=len(low_edges),
         m_mu=maximum_matching_size(low_graph),

@@ -13,7 +13,7 @@ import gc
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .errors import ConfigError
 from .estimators import (
@@ -84,14 +84,16 @@ CSV_HEADER = ["seed", "value", "m_star", "ratio", "space_peak", "fail", "ms"]
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: generator + ordering + estimator + trial count."""
+    """One experiment: generator + ordering + estimator + trial count.
+
+    Every trial builds its own graph; see ``run_experiment``.
+    """
 
     generator: str = "union-of-forests"
     n: int = 100
     c: int = 1
     k: int = 10  # star-forest: number of stars
     s: int = 3  # star-forest: leaves per star
-    graph_seed: int | None = None  # fix one graph across trials when set
     ordering: OrderingPolicy = OrderingPolicy.UNIFORM_RANDOM
     estimator: str = "alg2"
     mu: int | None = None
@@ -110,7 +112,6 @@ _CONFIG_FIELDS: dict[str, Callable[[str], object]] = {
     "c": int,
     "k": int,
     "s": int,
-    "graph-seed": int,
     "ordering": str,
     "estimator": str,
     "mu": int,
@@ -173,14 +174,6 @@ def validate_config(config: ExperimentConfig) -> None:
     ESTIMATORS[config.estimator](config, EdgeStream(0, ()), 0)  # the parameter check
 
 
-def _run_estimator(config: ExperimentConfig, g: Graph, seed: int) -> Estimate:
-    if config.estimator == "dynamic":
-        stream = generate_dynamic_stream(g, config.delete_fraction, seed)
-    else:
-        stream = order_stream(g, config.ordering, seed)
-    return ESTIMATORS[config.estimator](config, stream, seed)
-
-
 @dataclass
 class TrialRecord:
     """One estimator run against the exact matching size of its graph."""
@@ -227,9 +220,7 @@ def emit_csv(records: Iterable[TrialRecord], path: str) -> list[TrialRecord]:
     return written
 
 
-def _trial(
-    config: ExperimentConfig, seed: int, fixed: tuple[Graph, int] | None
-) -> TrialRecord:
+def _trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     # A trial's containers (edge and event tuples, adjacency lists, sampler sets)
     # form no reference cycles, so the cyclic collector's passes free nothing in
     # it. The graph, stream and estimate are this frame's locals, so they are
@@ -237,13 +228,14 @@ def _trial(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if fixed is not None:
-            g, m_star = fixed
-        else:
-            g = GENERATORS[config.generator](config, seed)
-            m_star = maximum_matching_size(g)
+        g = GENERATORS[config.generator](config, seed)
+        m_star = maximum_matching_size(g)
         start = time.perf_counter()
-        est = _run_estimator(config, g, seed)
+        if config.estimator == "dynamic":
+            stream = generate_dynamic_stream(g, config.delete_fraction, seed)
+        else:
+            stream = order_stream(g, config.ordering, seed)
+        est = ESTIMATORS[config.estimator](config, stream, seed)
         ms = (time.perf_counter() - start) * 1000.0
         ratio = None
         if not est.failed and m_star > 0:
@@ -262,27 +254,16 @@ def _trial(
             gc.enable()
 
 
-def _trials(
-    config: ExperimentConfig, fixed: tuple[Graph, int] | None
-) -> Iterator[TrialRecord]:
-    for i in range(config.trials):
-        yield _trial(config, config.seed0 + i, fixed)
-
-
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """Run config.trials seeded trials and return their records.
 
     When config.output is set, each record is also written to that CSV path
-    as it is produced. Trial i uses seed seed0+i for the graph (unless
-    graph-seed pins one), the stream ordering and the estimator, so identical
-    configs give identical records (the wall-time column aside).
+    as it is produced. Trial i uses seed seed0+i for its graph (whose exact
+    matching size is its m_star), the stream ordering and the estimator, so
+    identical configs give identical records (the wall-time column aside).
     """
     validate_config(config)
-    fixed = None
-    if config.graph_seed is not None:
-        fixed_graph = GENERATORS[config.generator](config, config.graph_seed)
-        fixed = (fixed_graph, maximum_matching_size(fixed_graph))
-    trials = _trials(config, fixed)
+    trials = (_trial(config, config.seed0 + i) for i in range(config.trials))
     return list(trials) if config.output is None else emit_csv(trials, config.output)
 
 

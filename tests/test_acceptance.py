@@ -24,7 +24,6 @@ from arbormatch import (
     delete_event,
     dynamic_estimate,
     estimate_matching_logspace,
-    forest_matching_size,
     generate_dynamic_stream,
     generate_star_forest,
     generate_union_of_forests,
@@ -113,10 +112,11 @@ def test_c02_degree_threshold_inequalities(corpus):
     start = time.perf_counter()
     violations = 0
     checked = 0
-    for g, m_star in corpus:
+    for g, _ in corpus:
         c = g.c_declared
         for mu in range(2 * c + 1, 6 * c + 1):
-            rep = characterize(g, mu, m_star)
+            rep = characterize(g, mu)
+            m_star = rep.m_star
             factor = 2.0 * mu / (mu - 2 * c + 1)
             checked += 1
             if rep.h_mu > factor * m_star + 1e-9:
@@ -186,7 +186,7 @@ def test_c04_tree_window():
     for i in range(trees):
         n = rng.randint(2, 100)
         g = generate_random_tree(n, seed=rng.randrange(2**32))
-        m_star = forest_matching_size(g)
+        m_star = maximum_matching_size(g)
         for j in range(orderings):
             stream = order_stream(g, "uniform-random", seed=i * 100 + j)
             e_1 = sum(1 for w in later_degree_profile(stream) if w <= 1)
@@ -256,7 +256,7 @@ def _run_c06_corpus(g, m_star, mu, c, epsilon, runs):
 def test_c06_alg2_success_probability():
     mu, c, epsilon, runs = 3, 1, 0.8, 200
     g = generate_union_of_forests(15_000, c, seed=60601)
-    m_star = forest_matching_size(g)
+    m_star = maximum_matching_size(g)
     hits_a, branches_a, t_a, p_a = _run_c06_corpus(g, m_star, mu, c, epsilon, runs)
 
     g2 = generate_star_forest(16_000, 1)
@@ -416,7 +416,7 @@ def test_c10_dynamic_variant():
     for i in range(40):
         fraction = 0.3 if i % 2 == 0 else 0.5
         g = generate_union_of_forests(n, c, seed=7000 + i)
-        m_star = forest_matching_size(g)
+        m_star = maximum_matching_size(g)
         stream = generate_dynamic_stream(g, fraction, seed=i)
         assert len(stream.events) <= 4 * c * n
         lo, hi = (1 - epsilon) * m_star, (1 + epsilon) * beta * m_star

@@ -162,6 +162,22 @@ def test_check_lemmas_exit_codes(tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_check_lemmas_violation_exits_one(tmp_path, capsys, monkeypatch):
+    import arbormatch.harness as harness
+    from arbormatch.graphs import CharacterizationReport
+
+    gpath = tmp_path / "g.txt"
+    main(["generate", "--kind", "random-tree", "--n", "40", "--seed", "2", "-o", str(gpath)])
+    capsys.readouterr()
+    # 50 high-degree vertices against M* = 1 break h_mu <= 3*m_star at mu = 3
+    fabricated = CharacterizationReport(mu=3, m_star=1, h_mu=50, s_mu=0, m_mu=0, n_l=0)
+    monkeypatch.setattr(harness, "characterize", lambda g, mu: fabricated)
+    assert main(["check-lemmas", str(gpath), "--c", "1", "--mu", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "VIOLATION high-degree-count: h_mu=50 <=" in out
+    assert out.rstrip().endswith("violations found")
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     main(["generate", "--kind", "random-tree", "--n", "10", "-o", str(gpath)])

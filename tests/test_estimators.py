@@ -578,14 +578,12 @@ def test_dynamic_overflow_on_few_large_stars_takes_the_exact_alg1_branch():
 
 
 def test_dynamic_overflowed_runs_land_in_the_c10_window():
-    from arbormatch import forest_matching_size
-
     mu, c, epsilon = 3, 1, 0.5
     beta = mu * (2.0 * mu / (mu - 2 * c + 1) + 1.0)
     runs = hits = 0
     for i in range(20):
         g = generate_union_of_forests(100, c, seed=7000 + i)
-        m_star = forest_matching_size(g)
+        m_star = maximum_matching_size(g)
         st = generate_dynamic_stream(g, 0.3 if i % 2 == 0 else 0.5, seed=i)
         for seed in range(5):
             est = dynamic_estimate(

@@ -12,7 +12,6 @@ from arbormatch import (
     build_graph,
     characterize,
     degeneracy,
-    forest_matching_size,
     generate_random_tree,
     generate_star_forest,
     generate_union_of_forests,
@@ -24,6 +23,7 @@ from arbormatch import (
     parse_graph,
     serialize_graph,
 )
+from arbormatch.graphs import forest_matching_size
 from arbormatch.streams import EdgeStream
 
 from conftest import (

@@ -16,6 +16,7 @@ from arbormatch import (
     generate_random_tree,
     generate_star_forest,
     generate_union_of_forests,
+    maximum_matching_size,
     parse_config,
     run_experiment,
     summarize_ratios,
@@ -228,11 +229,15 @@ def test_run_experiment_is_deterministic_modulo_walltime(tmp_path):
     assert strip_ms(p1) == strip_ms(p2)
 
 
-def test_run_experiment_fixed_graph_reuses_m_star():
-    config = parse_config(GOOD_CONFIG)
-    config.graph_seed = 17
+def test_each_trial_builds_its_own_graph():
+    # trial i's m_star is the exact matching of the generator's graph at seed0+i
+    config = ExperimentConfig(n=60, c=1, estimator="alg2", mu=3, trials=5, seed0=3)
     records = run_experiment(config)
-    assert len({rec.m_star for rec in records}) == 1
+    expected = [
+        maximum_matching_size(generate_union_of_forests(60, 1, seed=3 + i)) for i in range(5)
+    ]
+    assert [rec.m_star for rec in records] == expected
+    assert len(set(expected)) > 1  # so one graph for every trial would not match
 
 
 def test_emit_csv_row_format(tmp_path):
@@ -295,10 +300,10 @@ def test_summarize_ratios_windows():
 
 
 def test_logspace_experiment_on_star_forest():
-    # every record's ratio sits inside the guaranteed window; the graph is
-    # pinned so the exact matching is computed once
+    # every record's ratio sits inside the guaranteed window; star-forest
+    # ignores the seed, so every trial has the same graph
     config = ExperimentConfig(
-        generator="star-forest", k=1000, s=5, graph_seed=0, estimator="logspace",
+        generator="star-forest", k=1000, s=5, estimator="logspace",
         epsilon=0.1, trials=20, seed0=0, ordering="uniform-random",
     )
     records = run_experiment(config)

@@ -43,6 +43,7 @@ TIER1 = [
 COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".benchmarks", ".perfbench-*", "*.egg-info"
 )
+CLI = "src/arbormatch/cli.py"
 ESTIMATORS = "src/arbormatch/estimators.py"
 GRAPHS = "src/arbormatch/graphs.py"
 HARNESS = "src/arbormatch/harness.py"
@@ -173,6 +174,18 @@ CATALOGUE = (
         HARNESS,
         "            gc.enable()\n",
         "            pass\n",
+    ),
+    Mutant(
+        "trial-graph-from-seed0",  # every trial generates the graph of the first trial
+        HARNESS,
+        "g = GENERATORS[config.generator](config, seed)",
+        "g = GENERATORS[config.generator](config, config.seed0)",
+    ),
+    Mutant(
+        "check-lemmas-always-passes",  # a violated inequality still exits 0
+        CLI,
+        "return 0 if report.passed else 1",
+        "return 0",
     ),
     Mutant(
         "blossom-phase-always-runs",
