@@ -561,6 +561,16 @@ def test_dynamic_overflow_forces_the_alg1_branch():
         dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0, capacity_override=0)
 
 
+def test_dynamic_keeps_the_live_edge_set_at_exactly_its_capacity():
+    # the set is given up only once it holds more than its capacity
+    st = order_stream(generate_union_of_forests(60, 1, seed=0), "uniform-random", 0)
+    assert len(st.events) == 59
+    kept = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0, capacity_override=59)
+    assert (kept.params["greedy_r"], kept.params["branch"]) == (23, "greedy")
+    over = dynamic_estimate(st, c=1, mu=3, epsilon=0.5, seed=0, capacity_override=58)
+    assert (over.params["greedy_r"], over.params["branch"]) == (None, "alg1")
+
+
 def test_dynamic_overflow_on_few_large_stars_takes_the_exact_alg1_branch():
     # fewer than t stars, so the greedy side would decide, but more live edges
     # than the capacity: the degree sampler answers, and at p = 1 it counts

@@ -2,6 +2,7 @@ import csv
 import gc
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -59,6 +60,14 @@ def test_parse_config_round_trip():
     assert config.generator == "union-of-forests"
     assert config.trials == 5
     assert config.mu == 5
+
+
+def test_the_readme_config_parses():
+    # the fenced block after the sentence that introduces the config format
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("`experiment` consumes a flat key=value file:")
+    config = parse_config(readme[start:].split("```")[1])
+    assert (config.generator, config.estimator, config.trials) == ("union-of-forests", "alg2", 100)
 
 
 def test_parse_config_rejects_unknown_keys():

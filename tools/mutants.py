@@ -51,8 +51,12 @@ STREAMS = "src/arbormatch/streams.py"
 # The test files run before the suite for a mutant of each module; by default a
 # module's own ``tests/test_<module>.py``. alg4 lives in estimators.py, but its
 # differential and survivor tests are in tests/test_alg4.py, which kills an alg4
-# mutant in seconds where the whole suite takes 20-48 s to reach them.
-OWN_TESTS = {ESTIMATORS: ["tests/test_alg4.py", "tests/test_estimators.py"]}
+# mutant in seconds where the whole suite takes 20-48 s to reach them. The lemma
+# report that harness.py formats is pinned through the CLI, in tests/test_cli.py.
+OWN_TESTS = {
+    ESTIMATORS: ["tests/test_alg4.py", "tests/test_estimators.py"],
+    HARNESS: ["tests/test_harness.py", "tests/test_cli.py"],
+}
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,30 @@ CATALOGUE = (
         "            value = count / growth ** (-i) if i else count\n",
     ),
     Mutant(
+        "alg2-sampler-seed-plus-one",  # alg2's degree sampler draws another sample than alg1's
+        ESTIMATORS,
+        "state = Alg1State(stream.n, params, seed)\n    matched",
+        "state = Alg1State(stream.n, params, seed + 1)\n    matched",
+    ),
+    Mutant(
+        "greedy-wins-at-cutoff",  # a greedy matching that reached t still decides
+        ESTIMATORS,
+        "if r is not None and r < t:",
+        "if r is not None and r <= t:",
+    ),
+    Mutant(
+        "lower-counter-high-at-mu",  # an unsampled neighbour counts as high at l = mu
+        ESTIMATORS,
+        "if count > mu)",
+        "if count >= mu)",
+    ),
+    Mutant(
+        "overflow-at-capacity",  # the live-edge set is given up when it holds exactly 4t^2
+        ESTIMATORS,
+        "if held > capacity:",
+        "if held >= capacity:",
+    ),
+    Mutant(
         "shuffle-block-off-by-one",  # each block starts one i late: i = 1 never swaps
         STREAMS,
         "lo = (1 << (bits - 1)) - 1",
@@ -180,6 +208,18 @@ CATALOGUE = (
         HARNESS,
         "g = GENERATORS[config.generator](config, seed)",
         "g = GENERATORS[config.generator](config, config.seed0)",
+    ),
+    Mutant(
+        "lemma-ok-mark",  # a check that holds is marked "ok" without the padding space
+        HARNESS,
+        'mark = "ok " if c.holds',
+        'mark = "ok" if c.holds',
+    ),
+    Mutant(
+        "oracle-keys-unsorted",  # the oracle report lists its keys in insertion order
+        CLI,
+        "print(json.dumps(payload, sort_keys=True))",
+        "print(json.dumps(payload))",
     ),
     Mutant(
         "check-lemmas-always-passes",  # a violated inequality still exits 0
